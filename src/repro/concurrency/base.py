@@ -30,8 +30,8 @@ manager:
   :mod:`repro.concurrency.mvcc`), ``"2pl_nowait"`` and
   ``"2pl_waitdie"`` (two-phase locking,
   :mod:`repro.concurrency.locking`), and ``"none"``
-  (:class:`PassthroughCC`, the explicit no-concurrency-control scheme
-  that replaced the old ``cc_enabled`` bool).
+  (:class:`PassthroughCC`, the explicit no-concurrency-control
+  scheme).
 
 Every data operation returns the number of records *examined* along
 with its result, so the execution runtime can charge simulated CPU
@@ -62,35 +62,6 @@ Row = dict[str, Any]
 INSERT = "insert"
 UPDATE = "update"
 DELETE = "delete"
-
-#: Lazily-cached :class:`repro.durability.wal.RedoEntry` (the import is
-#: deferred — durability imports this module — but resolved once, not
-#: once per installed write).
-_RedoEntry: type | None = None
-
-
-def make_redo_entry(intent: "WriteIntent", commit_tid: int) -> Any:
-    """The redo-log record for one installed write intent.
-
-    Shared by the per-session install path below and the epoch-batched
-    engine in :mod:`repro.concurrency.batch` so both emit byte-identical
-    log entries.  ``commit_tid`` is unused today (the log keys entries
-    by TID at append time) but keeps the call shape stable.
-    """
-    global _RedoEntry
-    entry_cls = _RedoEntry
-    if entry_cls is None:
-        from repro.durability.wal import RedoEntry
-        entry_cls = _RedoEntry = RedoEntry
-    new_value = intent.new_value
-    return entry_cls(
-        reactor=intent.table.owner or "",
-        table=intent.table.name,
-        kind=intent.kind,
-        pk=intent.pk,
-        row=dict(new_value) if new_value is not None else None,
-    )
-
 
 def _intent_order_key(intent: "WriteIntent") -> tuple[str, str]:
     """Deterministic global lock order for write intents.
@@ -720,16 +691,6 @@ class ConcurrencyControl:
         #: their writes would land in dead storage.
         self.failed = False
 
-    # -- legacy counter aliases (pre-refactor API) ----------------------
-
-    @property
-    def validations(self) -> int:
-        return self.stats.validations
-
-    @property
-    def validation_failures(self) -> int:
-        return self.stats.validation_failures
-
     # -- protocol -------------------------------------------------------
 
     @staticmethod
@@ -782,12 +743,23 @@ class ConcurrencyControl:
                 if install_intent(intent, commit_tid):
                     count += 1
         else:
+            # Deferred: durability imports this module.
+            from repro.durability.wal import RedoEntry
+
             log_entries = []
             for intent in session.sorted_intents():
                 if not install_intent(intent, commit_tid):
                     continue
                 count += 1
-                log_entries.append(make_redo_entry(intent, commit_tid))
+                new_value = intent.new_value
+                log_entries.append(RedoEntry(
+                    reactor=intent.table.owner or "",
+                    table=intent.table.name,
+                    kind=intent.kind,
+                    pk=intent.pk,
+                    row=dict(new_value) if new_value is not None
+                    else None,
+                ))
             if log_entries:
                 redo_log.append(commit_tid, log_entries)
         session.release_locks()

@@ -12,15 +12,17 @@ are ``(manager, session)`` pairs of whatever
 selected, so cross-container commits work identically under every
 scheme.
 
-The coordinator is pure logic — the transaction executor drives it and
-charges the simulated per-container communication costs around each
-phase, so that commit latency grows with the number of containers
-spanned exactly as in the paper's cost breakdowns.
+:meth:`TwoPhaseCommit.commit` is the database's one commit engine.  It
+is pure logic — the transaction executor drives it, charges the
+simulated per-container communication costs around each phase (so
+that commit latency grows with the number of containers spanned
+exactly as in the paper's cost breakdowns), and then hands the
+installed commit to the acknowledgement stages of
+:mod:`repro.runtime.ack`.
 """
 
 from __future__ import annotations
 
-from repro.concurrency import batch
 from repro.concurrency.base import CCSession, ConcurrencyControl
 from repro.errors import CCAbort
 
@@ -71,41 +73,17 @@ class TwoPhaseCommit:
         The validation order over containers is deterministic
         (container id), which both avoids distributed deadlock on write
         locks and keeps simulations reproducible.
-
-        By default both phases run through the epoch-batched engine
-        (:mod:`repro.concurrency.batch`); the unbatched reference path
-        below is kept verbatim for equivalence testing
-        (``REPRO_HOTPATH=reference`` / :func:`batch.set_batched`).
-        Both paths produce identical histories for identical seeds.
         """
-        if batch.batched_enabled():
-            participants = self.participants
-            if len(participants) > 1:
-                participants = sorted(participants, key=_by_container)
-            try:
-                commit_tid, writes = batch.CommitEpoch(
-                    participants).run(now_us)
-            except CCAbort as abort:
-                return CommitOutcome(False, 0, len(participants), 0,
-                                     reason=str(abort))
-            return CommitOutcome(True, commit_tid, len(participants),
-                                 writes)
-
         ordered = sorted(self.participants, key=_by_container)
-        validated: list[Participant] = []
         floor = 0
         try:
             for manager, session in ordered:
                 floor = max(floor, manager.validate(session))
-                validated.append((manager, session))
         except CCAbort as abort:
             # validate() released its own locks and counted the abort;
-            # roll back the rest without re-attributing a reason.
-            for manager, session in validated:
-                manager.abort(session, reason=None)
+            # roll everyone back without re-attributing a reason.
             for manager, session in ordered:
-                if (manager, session) not in validated:
-                    manager.abort(session, reason=None)
+                manager.abort(session, reason=None)
             return CommitOutcome(False, 0, len(ordered), 0,
                                  reason=str(abort))
         commit_tid = max(

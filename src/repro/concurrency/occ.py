@@ -12,10 +12,6 @@ paths, write intents) lives in :class:`repro.concurrency.base.CCSession`
 and is shared with the other schemes; :class:`OCCSession` layers the
 optimistic read/node-version footprint on top and
 :class:`ConcurrencyManager` owns validation and installation.
-
-``ConcurrencyManager(..., enabled=False)`` is the legacy spelling of
-the explicit :class:`~repro.concurrency.base.PassthroughCC` scheme and
-is kept for backward compatibility.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro.concurrency.base import (
     WriteIntent,
     register_cc_scheme,
 )
-from repro.concurrency.tid import EpochManager
 
 __all__ = [
     "ConcurrencyManager",
@@ -59,12 +54,7 @@ class ConcurrencyManager(ConcurrencyControl):
 
     scheme = "occ"
 
-    __slots__ = ("enabled",)
-
-    def __init__(self, container_id: int, epochs: EpochManager,
-                 enabled: bool = True) -> None:
-        super().__init__(container_id, epochs)
-        self.enabled = enabled
+    __slots__ = ()
 
     def begin_session(self, txn_id: int) -> OCCSession:
         return OCCSession(txn_id, self.container_id)
@@ -78,8 +68,6 @@ class ConcurrencyManager(ConcurrencyControl):
         if self.is_snapshot_session(session):
             return 0
         self.stats.validations += 1
-        if not self.enabled:
-            return 0
         try:
             for intent in session.sorted_intents():
                 self._lock_intent(session, intent)

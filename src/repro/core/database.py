@@ -77,6 +77,10 @@ class ReactorDatabase:
         self.durability: Any = None
         #: Replication manager when the deployment asks for replicas.
         self.replication: Any = None
+        #: The :class:`~repro.runtime.ack.AckStage`\ s a commit report
+        #: waits on, in arming order; durability and replication
+        #: register themselves when built.
+        self.ack_stages: list[Any] = []
         #: Online-migration manager (always attached; see
         #: repro.migration).
         self.migration: Any = None
@@ -245,15 +249,8 @@ class ReactorDatabase:
         if reactor.container.failed:
             # Failed primary with no promoted replacement yet: refuse
             # immediately rather than queueing on a dead executor.
-            root.finished = True
-            if self.replication is not None:
-                self.replication.stats.failover_aborts += 1
-            reason = (f"container {reactor.container.container_id} "
-                      "failed")
-            self.telemetry.note_root_done(root, False, reason,
-                                          self.scheduler.now)
-            if on_done is not None:
-                self.scheduler.soon(on_done, root, False, reason, None)
+            self.refuse_root(root, reactor.container.container_id,
+                             on_done)
             return root
         executor = self._route_root(reactor)
         if not self.scheduler.admit_root(executor):
@@ -271,6 +268,25 @@ class ReactorDatabase:
             return root
         executor.submit(invocation)
         return root
+
+    def count_failover_abort(self) -> None:
+        """A root was refused or aborted because a container it needs
+        failed (availability impact, reported by replication — the
+        only subsystem that fails containers)."""
+        if self.replication is not None:
+            self.replication.stats.failover_aborts += 1
+
+    def refuse_root(self, root: RootTransaction, container_id: int,
+                    on_done: Callable[..., None] | None) -> None:
+        """Report ``root`` aborted without running it: its home
+        container failed and no replica has been promoted yet."""
+        root.finished = True
+        self.count_failover_abort()
+        reason = f"container {container_id} failed"
+        self.telemetry.note_root_done(root, False, reason,
+                                      self.scheduler.now)
+        if on_done is not None:
+            self.scheduler.soon(on_done, root, False, reason, None)
 
     def _route_root(self, reactor: Reactor) -> TransactionExecutor:
         container = reactor.container

@@ -240,11 +240,6 @@ class DeploymentConfig:
         return sum(spec.executors for spec in self.containers)
 
     @property
-    def cc_enabled(self) -> bool:
-        """Legacy view of the scheme choice: is any CC active?"""
-        return self.cc_scheme != "none"
-
-    @property
     def snapshot_reads_effective(self) -> bool:
         """Are read-only roots served from multi-version snapshots?
         ``mvocc`` always snapshots; other schemes opt in via
@@ -257,7 +252,7 @@ class DeploymentConfig:
     #: infrastructure engineer should hear about, not a silent no-op.
     KNOWN_KEYS = frozenset({
         "name", "machine", "containers", "routing", "pin_reactors",
-        "placement", "cc_scheme", "cc_enabled", "snapshot_reads",
+        "placement", "cc_scheme", "snapshot_reads",
         "replication", "migration", "durability", "telemetry",
         "backend",
     })
@@ -290,10 +285,6 @@ class DeploymentConfig:
                     f"unknown deployment key {key!r}; expected one of "
                     f"{', '.join(sorted(DeploymentConfig.KNOWN_KEYS))}"
                 )
-        scheme = data.get("cc_scheme")
-        if scheme is None:
-            # Legacy configs carried a bool instead of a scheme name.
-            scheme = "occ" if data.get("cc_enabled", True) else "none"
         return DeploymentConfig(
             name=data["name"],
             containers=[
@@ -306,7 +297,7 @@ class DeploymentConfig:
             machine=get_profile(data.get("machine", XEON_E3_1276.name)),
             placement=Placement.from_dict(
                 data.get("placement", {"kind": "modulo"})),
-            cc_scheme=scheme,
+            cc_scheme=data.get("cc_scheme", "occ"),
             snapshot_reads=bool(data.get("snapshot_reads", False)),
             replication=ReplicationConfig.from_dict(
                 data.get("replication", {})),
@@ -331,18 +322,10 @@ class DeploymentConfig:
 # The paper's three deployment strategies (Section 3.3)
 # ----------------------------------------------------------------------
 
-def _resolve_scheme(cc_scheme: str, cc_enabled: bool | None) -> str:
-    """Factories accept the legacy ``cc_enabled`` bool as an alias."""
-    if cc_enabled is None:
-        return cc_scheme
-    return cc_scheme if cc_enabled else "none"
-
-
 def shared_everything_without_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
         placement: Placement | None = None,
         cc_scheme: str = "occ",
-        cc_enabled: bool | None = None,
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
         durability: DurabilityConfig | None = None,
@@ -356,7 +339,7 @@ def shared_everything_without_affinity(
         pin_reactors=False,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
@@ -368,7 +351,6 @@ def shared_everything_with_affinity(
         n_executors: int, machine: MachineProfile = XEON_E3_1276,
         placement: Placement | None = None,
         cc_scheme: str = "occ",
-        cc_enabled: bool | None = None,
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
         durability: DurabilityConfig | None = None,
@@ -382,7 +364,7 @@ def shared_everything_with_affinity(
         pin_reactors=False,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
@@ -394,7 +376,6 @@ def shared_nothing(n_containers: int,
                    machine: MachineProfile = XEON_E3_1276,
                    mpl: int = 4, placement: Placement | None = None,
                    cc_scheme: str = "occ",
-                   cc_enabled: bool | None = None,
                    snapshot_reads: bool = False,
                    replication: ReplicationConfig | None = None,
                    migration: MigrationConfig | None = None,
@@ -416,7 +397,7 @@ def shared_nothing(n_containers: int,
         pin_reactors=True,
         machine=machine,
         placement=placement or Placement(),
-        cc_scheme=_resolve_scheme(cc_scheme, cc_enabled),
+        cc_scheme=cc_scheme,
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         migration=migration or DEFAULT_MIGRATION,

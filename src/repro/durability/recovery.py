@@ -57,6 +57,7 @@ from repro.durability.config import ASYNC, DURABILITY_MODES
 from repro.durability.group_commit import LogFlusher
 from repro.durability.wal import RedoLog, RedoRecord, apply_record_to
 from repro.errors import SimulationError
+from repro.runtime.ack import AckStage
 from repro.runtime.futures import SimFuture
 
 if TYPE_CHECKING:  # deployment.py imports this package's config at
@@ -117,8 +118,14 @@ class CrashImage:
         return logs
 
 
-class DurabilityManager:
-    """Owns the redo logs + flush pipelines of one database."""
+class DurabilityManager(AckStage):
+    """Owns the redo logs + flush pipelines of one database.
+
+    It is also the database's durability :class:`AckStage`: a
+    ``sync``/``group`` commit is reported only once its flush landed.
+    """
+
+    ack_span = "durability:ack_wait"
 
     def __init__(self, database: Any, mode: str = ASYNC) -> None:
         if mode not in DURABILITY_MODES:
@@ -166,6 +173,7 @@ class DurabilityManager:
         telemetry = getattr(database, "telemetry", None)
         if telemetry is not None:
             telemetry.register_durability(self)
+        database.ack_stages.append(self)
         for container in database.containers:
             log = RedoLog(container.container_id)
             container.concurrency.redo_log = log
@@ -256,7 +264,7 @@ class DurabilityManager:
             .setdefault(table_name, set()).update(pks)
 
     # ------------------------------------------------------------------
-    # Commit acknowledgement (called from the executor)
+    # Commit acknowledgement (the AckStage hooks the executor drives)
     # ------------------------------------------------------------------
 
     def commit_ack_future(self, root: Any) -> SimFuture | None:
@@ -318,20 +326,20 @@ class DurabilityManager:
             future.add_waiter(one_done)
         return joint
 
-    def note_acked(self, root: Any) -> None:
-        """The executor reported this commit to the client."""
-        self.acked_count += 1
+    def commit_reported(self, root: Any, committed: bool) -> None:
+        """The acknowledgement instant: the commits clients saw are
+        what crash certification holds recovery to (acked => durable
+        for sync/group; async reports its loss window instead).  A
+        root reported aborted (including an in-doubt failover outcome)
+        leaves its installed records, if any, unacked."""
         sites = self._sites.pop(root.txn_id, None)
+        if not committed:
+            return
+        self.acked_count += 1
         if sites:
             self.acked_sites.extend(sites)
         if root.commit_tid:
             self.acked_tids.add(root.commit_tid)
-
-    def note_unacked(self, root: Any) -> None:
-        """The root completed without a commit acknowledgement
-        (abort, or an in-doubt failover outcome reported as abort):
-        its installed records, if any, stay unacked."""
-        self._sites.pop(root.txn_id, None)
 
     def kick_flush(self, container_id: int) -> None:
         """Close and flush the container's open epoch now (durability

@@ -94,7 +94,6 @@ def tpcc_deployment(strategy: str, n_executors: int,
                     machine: MachineProfile = OPTERON_6274,
                     mpl: int = 4,
                     cc_scheme: str = "occ",
-                    cc_enabled: bool | None = None,
                     replication: ReplicationConfig | None = None,
                     durability: DurabilityConfig | None = None,
                     backend: str = "sim"
@@ -105,12 +104,9 @@ def tpcc_deployment(strategy: str, n_executors: int,
     deployment — they differ only in the program formulation (the
     ``sync_remote`` knob of the workload).  ``cc_scheme`` selects the
     concurrency-control protocol ("occ", "2pl_nowait", "2pl_waitdie",
-    "none"); the legacy ``cc_enabled`` bool is accepted as an alias,
-    as in the deployment factories.  ``replication`` adds log-shipping
-    replicas per container (see :mod:`repro.replication`).
+    "none").  ``replication`` adds log-shipping replicas per container
+    (see :mod:`repro.replication`).
     """
-    if cc_enabled is not None:
-        cc_scheme = cc_scheme if cc_enabled else "none"
     if strategy == "shared-everything-without-affinity":
         return shared_everything_without_affinity(
             n_executors, machine=machine, cc_scheme=cc_scheme,
@@ -135,7 +131,6 @@ def tpcc_database(strategy: str, n_warehouses: int,
                   machine: MachineProfile = OPTERON_6274,
                   mpl: int = 4, n_executors: int | None = None,
                   cc_scheme: str = "occ",
-                  cc_enabled: bool | None = None,
                   replication: ReplicationConfig | None = None,
                   durability: DurabilityConfig | None = None,
                   backend: str = "sim"
@@ -146,7 +141,7 @@ def tpcc_database(strategy: str, n_warehouses: int,
     one transaction executor per warehouse)."""
     deployment = tpcc_deployment(
         strategy, n_executors or n_warehouses, machine=machine,
-        mpl=mpl, cc_scheme=cc_scheme, cc_enabled=cc_enabled,
+        mpl=mpl, cc_scheme=cc_scheme,
         replication=replication, durability=durability,
         backend=backend)
     database = ReactorDatabase(deployment,

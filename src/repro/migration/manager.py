@@ -529,18 +529,9 @@ class MigrationManager:
             return
         invocation.reactor = reactor
         if reactor.container.failed:
-            root = invocation.root
-            root.finished = True
-            if database.replication is not None:
-                database.replication.stats.failover_aborts += 1
-            reason = (f"container {reactor.container.container_id} "
-                      "failed")
-            database.telemetry.note_root_done(
-                root, False, reason, database.scheduler.now)
-            if invocation.on_root_done is not None:
-                database.scheduler.soon(
-                    invocation.on_root_done, root, False, reason,
-                    None)
+            database.refuse_root(invocation.root,
+                                 reactor.container.container_id,
+                                 invocation.on_root_done)
             return
         trace = invocation.root.trace
         if trace is not None:

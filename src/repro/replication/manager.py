@@ -7,10 +7,11 @@ Wires the pieces together for one database:
   recorded in the per-container ``shipped`` sequence (the reference
   commit order the formal audit certifies against) and scheduled to
   apply on every replica after the simulated ship latency;
-* **ack accounting** — for ``sync`` mode the executor's commit path
-  asks :meth:`on_commit_installed` for the acknowledgement delay and
-  defers root completion (releasing its core) until every replica of
-  every participant container acked;
+* **ack accounting** — the manager is the database's replication
+  :class:`~repro.runtime.ack.AckStage`: once a commit installs,
+  :meth:`commit_ack_future` ships its records and, in ``sync`` mode,
+  returns the future the executor waits on (releasing its core) until
+  every replica of every participant container acked;
 * **read-replica routing** — :meth:`route_read` hands read-only root
   transactions to a replica's shadow reactor, round-robin;
 * **failover** — :meth:`kill_primary` fails a container (queued and
@@ -35,6 +36,8 @@ from repro.durability.wal import RedoLog, RedoRecord
 from repro.errors import ReplicationError, TransactionAbort
 from repro.replication.config import ReplicationConfig
 from repro.replication.replica import ROLE_PRIMARY, ReplicaContainer
+from repro.runtime.ack import AckStage
+from repro.runtime.futures import SimFuture
 from repro.telemetry.spans import TRACK_REPLICATION
 
 
@@ -86,8 +89,35 @@ class ReplicationStats:
         return self.lag_us_sum / self.lag_samples
 
 
-class ReplicationManager:
+class ReplicaAck(SimFuture):
+    """One commit's sync replica-ack window, as a future.
+
+    The timer that resolves it is armed when the waiter attaches, not
+    at creation: the executor attaches after releasing its core, which
+    is where the ack wake-up sits in the event sequence (the scheduler
+    breaks timestamp ties by insertion order, so arming it earlier
+    would reorder seeded histories).
+    """
+
+    __slots__ = ("_scheduler", "_delay")
+
+    def __init__(self, scheduler: Any, delay: float) -> None:
+        super().__init__(remote=False, subtxn_id=0,
+                         target_reactor="replication:ack")
+        self._scheduler = scheduler
+        self._delay = delay
+
+    def add_waiter(self, callback: Any, *args: Any) -> None:
+        super().add_waiter(callback, *args)
+        scheduler = self._scheduler
+        scheduler.after(self._delay, self.resolve, None,
+                        scheduler.now + self._delay)
+
+
+class ReplicationManager(AckStage):
     """Owns the replicas of one database and drives log shipping."""
+
+    ack_span = "replication:ack_wait"
 
     def __init__(self, database: Any, config: ReplicationConfig) -> None:
         if not config.enabled:
@@ -140,6 +170,8 @@ class ReplicationManager:
                           if telemetry is not None else None)
         if telemetry is not None:
             telemetry.register_replication(self)
+        # Replica acks are consulted and armed ahead of the log flush.
+        database.ack_stages.insert(0, self)
         self._build_replicas()
 
     # ------------------------------------------------------------------
@@ -188,13 +220,26 @@ class ReplicationManager:
         return on_append
 
     # ------------------------------------------------------------------
-    # Shipping and ack accounting (called from the executor commit path)
+    # Shipping and ack accounting (the AckStage hooks)
     # ------------------------------------------------------------------
+
+    def commit_ack_future(self, root: Any) -> SimFuture | None:
+        """Ship the just-installed commit; under ``sync`` the future
+        that resolves once every replica acked it."""
+        delay = self.on_commit_installed()
+        if delay <= 0.0:
+            return None
+        return ReplicaAck(self.database.scheduler, delay)
+
+    def commit_veto(self, root: Any) -> str | None:
+        if self.commit_survived(root):
+            return None
+        return "container failed before replication ack"
 
     def on_commit_installed(self) -> float:
         """Ship the records the just-installed commit appended; return
-        the sync-ack delay the executor must wait before reporting
-        completion (0.0 in async mode or for read-only commits)."""
+        the sync-ack delay its report must wait (0.0 in async mode or
+        for read-only commits)."""
         if not self._inflight:
             return 0.0
         inflight, self._inflight = self._inflight, []
@@ -421,21 +466,13 @@ class ReplicationManager:
         for executor in container.executors:
             while executor.queue:
                 invocation = executor.queue.popleft()
-                abort = TransactionAbort(
-                    f"container {cid} failed")
                 if invocation.result_future is not None:
-                    invocation.result_future.fail(abort, scheduler.now)
+                    invocation.result_future.fail(
+                        TransactionAbort(f"container {cid} failed"),
+                        scheduler.now)
                 else:
-                    invocation.root.finished = True
-                    self.stats.failover_aborts += 1
-                    if self._telemetry is not None:
-                        self._telemetry.note_root_done(
-                            invocation.root, False, str(abort),
-                            scheduler.now)
-                    if invocation.on_root_done is not None:
-                        scheduler.soon(invocation.on_root_done,
-                                       invocation.root, False,
-                                       str(abort), None)
+                    self.database.refuse_root(invocation.root, cid,
+                                              invocation.on_root_done)
 
     def promote(self, cid: int) -> ReplicaContainer:
         """Promote the most advanced replica of container ``cid``.
@@ -569,11 +606,13 @@ class ReplicationManager:
         """Did an installed commit's writes survive every failed
         participant's failover?
 
-        Consulted by the executor when a sync ack window was cut short
-        by a kill: if each failed participant has a promoted successor
-        whose applied prefix contains this commit (guaranteed by the
-        sync channel drain once promotion ran), the outcome can be
-        truthfully reported as committed instead of in-doubt.
+        Consulted after a commit's ack wait (:meth:`commit_veto`):
+        when no participant failed meanwhile it trivially did; if a
+        kill cut the sync ack window short and each failed participant
+        has a promoted successor whose applied prefix contains this
+        commit (guaranteed by the sync channel drain once promotion
+        ran), the outcome can be truthfully reported as committed
+        instead of in-doubt.
         """
         for manager, session in root.participants():
             if not manager.failed or session.write_count == 0:

@@ -730,40 +730,32 @@ class TransactionExecutor:
         database = self.container.database
         if any(manager.failed for manager, __ in participants):
             # A participant container crashed under this transaction
-            # (replication failover): its writes would land in dead
-            # storage, so the commit must not be reported.
+            # (a failover): its writes would land in dead storage, so
+            # the commit must not be reported.
             with self.scheduler.commit_guard(root.sessions):
                 TwoPhaseCommit(participants).abort(reason=None)
-            if database.replication is not None:
-                database.replication.stats.failover_aborts += 1
+            database.count_failover_abort()
             self._complete_root(task, False, "container failed", None)
             return
         # Backend hook: a no-op guard on sim; under threads it holds
         # the state lock plus every participant container's lock, so
-        # validate+install (and the flusher appends / replication ship
-        # it triggers) are atomic against the other containers'
+        # validate+install (and the log appends and ack-stage work it
+        # triggers) are atomic against the other containers'
         # executing transactions.
         with self.scheduler.commit_guard(root.sessions):
             outcome = TwoPhaseCommit(participants).commit(
                 self.scheduler.now)
             root.commit_tid = outcome.commit_tid
-            ack_delay = 0.0
-            if outcome.committed and database.replication is not None:
-                ack_delay = database.replication.on_commit_installed()
-            flush_wait = None
-            if outcome.committed and database.durability is not None:
-                # Group/sync durability: the commit installed, but the
-                # client may only see it once its epoch's flush lands.
-                flush_wait = database.durability.commit_ack_future(root)
-                if flush_wait is not None and flush_wait.resolved:
-                    flush_wait = None
+            waits = []
+            if outcome.committed:
+                # The commit installed; the client may only see it
+                # once every ack stage's future resolved.
+                for stage in database.ack_stages:
+                    future = stage.commit_ack_future(root)
+                    if future is not None and not future.resolved:
+                        waits.append((stage, future))
         trace = root.trace
         if trace is not None:
-            # Commit-phase markers synthesized from the engine-neutral
-            # outcome: the batched and reference commit engines return
-            # identical CommitOutcomes (the hot-path equivalence
-            # contract), so a seeded trace is byte-identical under
-            # both.
             now = self.scheduler.now
             if outcome.containers > 1:
                 trace.instant("2pc:prepare", now,
@@ -781,81 +773,54 @@ class TransactionExecutor:
                 trace.instant("cc:abort", now,
                               {"reason": outcome.reason},
                               parent_key="commit")
-        if ack_delay <= 0.0 and flush_wait is None:
+        if not waits:
             self._complete_root(task, outcome.committed, outcome.reason,
                                 result if outcome.committed else None)
             return
-        # Deferred completion: the client sees the commit only after
-        # every replica acked *and* the log flush landed.  The
-        # executor core is released while waiting — another admitted
-        # task may run, exactly like a block on a remote future.
-        if ack_delay > 0.0:
-            root.charge("commit_input_gen", ack_delay)
+        # Deferred completion: the executor core is released while
+        # waiting — another admitted task may run, exactly like a
+        # block on a remote future.
         if self.running is task:
             self.running = None
             self._kick()
         wait_start = self.scheduler.now
-        if trace is not None:
-            if ack_delay > 0.0:
-                # The replica ack window is priced up-front, so the
-                # span's extent is known now.
-                trace.span("replication:ack_wait", wait_start,
-                           wait_start + ack_delay,
-                           parent_key="commit")
-            if flush_wait is not None:
-                trace.open_child("flush_wait", "durability:ack_wait",
-                                 wait_start)
-        pending = {"n": (1 if ack_delay > 0.0 else 0)
-                   + (1 if flush_wait is not None else 0)}
+        pending = [stage for stage, __ in waits]
+        for stage, future in waits:
+            if trace is not None:
+                trace.open_child(stage.ack_span, stage.ack_span,
+                                 wait_start, parent_key="commit")
+            # Relayed through the backend: a resolver may run on
+            # another thread, but the wake-up touches this executor.
+            self.scheduler.add_waiter(future, self._ack_landed, task,
+                                      result, stage, pending,
+                                      wait_start, container=self._cid)
 
-        def signal_done() -> None:
-            pending["n"] -= 1
-            if pending["n"] == 0:
-                self._finish_deferred_commit(task, result)
+    def _ack_landed(self, task: Task, result: Any, stage: Any,
+                    pending: list, wait_start: float,
+                    future: Any) -> None:
+        """One ack stage's future resolved; once all have, report.
 
-        if ack_delay > 0.0:
-            self.scheduler.after(ack_delay, signal_done)
-        if flush_wait is not None:
-            def flush_done(fut: SimFuture) -> None:
-                # Charge only the flush wait beyond the replication
-                # ack window (the waits overlap on the wall clock).
-                extra = (self.scheduler.now - wait_start) - ack_delay
-                if extra > 0.0:
-                    root.charge("commit_input_gen", extra)
-                if root.trace is not None:
-                    root.trace.close_child("flush_wait",
-                                           self.scheduler.now)
-                signal_done()
-            # Relayed through the backend: the flusher resolves on the
-            # client thread, but signal_done touches this executor.
-            self.scheduler.add_waiter(flush_wait, flush_done,
-                                      container=self._cid)
-
-    def _finish_deferred_commit(self, task: Task, result: Any) -> None:
-        """Deferred completion of a sync-replicated or group-commit
-        durable transaction.
-
-        If a participant container died during the wait window, the
-        replication manager resolves the in-doubt outcome: when every
-        failed participant's promoted successor holds this commit's
-        record (the sync channel drain guarantees it once promotion
-        ran), it is reported committed; otherwise conservatively as an
-        abort rather than as a commit that failover could lose.
+        If a participant container died during the wait, a stage may
+        veto the report (``AckStage.commit_veto``): the root is then
+        reported aborted rather than as a commit that failover could
+        lose.
         """
         root = task.root
-        database = self.container.database
-        if any(manager.failed for manager, __ in root.participants()):
-            replication = database.replication
-            if replication is not None and \
-                    replication.commit_survived(root):
-                self._complete_root(task, True, None, result)
-                return
-            if replication is not None:
-                replication.stats.failover_aborts += 1
-            self._complete_root(
-                task, False, "container failed before replication ack",
-                None)
+        now = self.scheduler.now
+        if root.trace is not None:
+            root.trace.close_child(stage.ack_span, now)
+        pending.remove(stage)
+        if pending:
             return
+        # The stage waits overlap on the clock: charge their union.
+        root.charge("commit_input_gen", now - wait_start)
+        database = self.container.database
+        for stage in database.ack_stages:
+            reason = stage.commit_veto(root)
+            if reason is not None:
+                database.count_failover_abort()
+                self._complete_root(task, False, reason, None)
+                return
         self._complete_root(task, True, None, result)
 
     def _abort_root(self, task: Task, abort: TransactionAbort) -> None:
@@ -885,22 +850,17 @@ class TransactionExecutor:
         for reactor in root.reactor_refs:
             reactor.inflight_roots.discard(root.txn_id)
         database = self.container.database
-        # Backend hook: telemetry counters, durability ack sets, the
+        # Backend hook: telemetry counters, ack-stage bookkeeping, the
         # snapshot-pin watermark and the history recorder are shared
         # across containers — a no-op guard on sim, the state lock on
         # the threads backend.
         with self.scheduler.state_guard():
             database.telemetry.note_root_done(root, committed, reason,
                                               self.scheduler.now)
-            if database.durability is not None:
-                # This is the acknowledgement instant: the set of
-                # commits clients saw is what crash certification
-                # holds recovery to (acked => durable for sync/group;
-                # async reports its loss window instead).
-                if committed:
-                    database.durability.note_acked(root)
-                else:
-                    database.durability.note_unacked(root)
+            # The acknowledgement instant: every stage hears the
+            # outcome the client hears.
+            for stage in database.ack_stages:
+                stage.commit_reported(root, committed)
             # Release the root's pinned snapshot (if any): the storage
             # GC watermark advances with the in-flight snapshot set,
             # so the next install can prune versions only this root

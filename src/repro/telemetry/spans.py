@@ -10,9 +10,7 @@ migration) emit spans on their own tracks when system tracing is on.
 Everything is deterministic: span ids are a per-tracer sequence,
 timestamps are the virtual clock, and no telemetry code ever schedules
 an event or consumes randomness — a given seed yields a byte-identical
-exported trace, including across the batched and reference commit
-engines (the commit-phase spans are synthesized from the same
-per-participant order both engines share).
+exported trace.
 
 Spans an aborted path never closes are simply not emitted (the trace
 stays a well-formed tree); a trace is *finished* exactly once, at the
@@ -102,21 +100,32 @@ class TraceHandle:
         self.root_id = tracer.new_id()
         self.root_start = start
         self.root_args = args
-        #: open child spans: key -> (span_id, name, start, args).
+        #: open child spans: key -> (span_id, name, start, args,
+        #: parent span id).
         self._open: dict[Any, tuple[int, str, float,
-                                    dict[str, Any] | None]] = {}
+                                    dict[str, Any] | None, int]] = {}
         self.finished = False
 
     # -- children -------------------------------------------------------
 
+    def _parent_id(self, parent_key: Any) -> int:
+        """The open span under ``parent_key``, else the root span."""
+        if parent_key is not None:
+            entry = self._open.get(parent_key)
+            if entry is not None:
+                return entry[0]
+        return self.root_id
+
     def open_child(self, key: Any, name: str, start: float,
-                   args: dict[str, Any] | None = None) -> int:
-        """Start a child span; ``key`` identifies it for
-        :meth:`close_child` (subtxn id, frame, or a string for
-        singleton phases).  Returns the span id (usable as a parent
-        for nested spans)."""
+                   args: dict[str, Any] | None = None,
+                   parent_key: Any = None) -> int:
+        """Start a span under the open span ``parent_key`` (default:
+        the root); ``key`` identifies it for :meth:`close_child`
+        (subtxn id, frame, or a string for singleton phases).  Returns
+        the span id (usable as a parent for nested spans)."""
         span_id = self.tracer.new_id()
-        self._open[key] = (span_id, name, start, args)
+        self._open[key] = (span_id, name, start, args,
+                           self._parent_id(parent_key))
         return span_id
 
     def close_child(self, key: Any, end: float,
@@ -124,23 +133,19 @@ class TraceHandle:
         entry = self._open.pop(key, None)
         if entry is None:
             return
-        span_id, name, start, args = entry
+        span_id, name, start, args, parent_id = entry
         if extra:
             args = {**(args or {}), **extra}
         self.tracer.emit(name, TRACK_TXN, self.txn_id, start, end,
-                         span_id, self.root_id, args)
+                         span_id, parent_id, args)
 
     def span(self, name: str, start: float, end: float,
              args: dict[str, Any] | None = None,
              parent_key: Any = None) -> None:
         """A complete child span whose start and end are both known."""
-        parent_id = self.root_id
-        if parent_key is not None:
-            entry = self._open.get(parent_key)
-            if entry is not None:
-                parent_id = entry[0]
         self.tracer.emit(name, TRACK_TXN, self.txn_id, start, end,
-                         self.tracer.new_id(), parent_id, args)
+                         self.tracer.new_id(),
+                         self._parent_id(parent_key), args)
 
     def instant(self, name: str, ts: float,
                 args: dict[str, Any] | None = None,

@@ -253,8 +253,8 @@ class TestStatsAndValidation:
         s1 = nowait.begin_session(1)
         s1.update(table, (1,), {"v": 10.0})
         commit(nowait, s1)
-        assert nowait.validations == 1
-        assert nowait.validation_failures == 0
+        assert nowait.stats.validations == 1
+        assert nowait.stats.validation_failures == 0
 
     def test_user_abort_counted(self, table, nowait):
         s1 = nowait.begin_session(1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.concurrency.base import PassthroughCC
 from repro.concurrency.coordinator import TwoPhaseCommit
 from repro.concurrency.occ import ConcurrencyManager
 from repro.concurrency.tid import EpochManager
@@ -194,8 +195,8 @@ class TestValidation:
         out2 = commit(manager, s2)
         assert out2.commit_tid > out1.commit_tid
 
-    def test_disabled_cc_skips_validation(self, table):
-        manager = ConcurrencyManager(0, EpochManager(), enabled=False)
+    def test_passthrough_cc_skips_validation(self, table):
+        manager = PassthroughCC(0, EpochManager())
         s1 = manager.begin_session(1)
         s1.read(table, (1,))
         s1.update(table, (1,), {"v": 10.0})
@@ -267,5 +268,5 @@ class TestTwoPhaseCommit:
         s2.update(table, (1,), {"v": 2.5})
         commit(manager, s2)
         commit(manager, s1)
-        assert manager.validations == 2
-        assert manager.validation_failures == 1
+        assert manager.stats.validations == 2
+        assert manager.stats.validation_failures == 1

@@ -124,7 +124,6 @@ class TestSerialization:
         })
         assert config.routing == AFFINITY
         assert config.machine is XEON_E3_1276
-        assert config.cc_enabled
         assert config.cc_scheme == "occ"
 
     @pytest.mark.parametrize(
@@ -136,15 +135,6 @@ class TestSerialization:
         assert via_dict.to_dict() == config.to_dict()
         via_json = DeploymentConfig.from_json(config.to_json())
         assert via_json.cc_scheme == scheme
-        assert via_json.cc_enabled == (scheme != "none")
-
-    def test_legacy_cc_enabled_dict_still_loads(self):
-        data = shared_nothing(2).to_dict()
-        del data["cc_scheme"]
-        data["cc_enabled"] = False
-        assert DeploymentConfig.from_dict(data).cc_scheme == "none"
-        data["cc_enabled"] = True
-        assert DeploymentConfig.from_dict(data).cc_scheme == "occ"
 
     def test_unknown_cc_scheme_rejected(self):
         with pytest.raises(DeploymentError):
@@ -157,11 +147,6 @@ class TestSerialization:
         data["cc_schema"] = "2pl_nowait"
         with pytest.raises(DeploymentError, match="cc_schema"):
             DeploymentConfig.from_dict(data)
-
-    def test_legacy_cc_enabled_key_still_accepted(self):
-        data = shared_nothing(2).to_dict()
-        data["cc_enabled"] = True
-        DeploymentConfig.from_dict(data)  # not an unknown key
 
     def test_replication_round_trips(self):
         from repro.replication import ReplicationConfig
@@ -178,11 +163,6 @@ class TestSerialization:
         config = DeploymentConfig.from_dict({
             "name": "minimal", "containers": [{}]})
         assert not config.replication.enabled
-
-    def test_factories_accept_legacy_cc_enabled(self):
-        assert shared_nothing(2, cc_enabled=False).cc_scheme == "none"
-        assert shared_everything_with_affinity(
-            2, cc_enabled=True).cc_scheme == "occ"
 
     def test_architecture_change_is_config_only(self):
         """The paper's claim: architecture changes are config edits."""

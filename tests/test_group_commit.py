@@ -278,7 +278,7 @@ class TestKillAtArbitraryEpoch:
 
         root = FakeRoot()
         assert manager.commit_ack_future(root) is None  # async: no wait
-        manager.note_acked(root)  # ...and the client heard "committed"
+        manager.commit_reported(root, True)  # the client heard it
         costs = database.costs
         scheduler.run(until=costs.flush_interval_us
                       + costs.fsync_cost + 1.0)

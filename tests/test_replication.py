@@ -5,7 +5,7 @@ import pytest
 from repro.bench.harness import run_measurement
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import DeploymentConfig, shared_nothing
-from repro.durability import enable_durability
+from repro.durability import DurabilityConfig, enable_durability
 from repro.errors import (
     DeploymentError,
     ReplicationError,
@@ -126,6 +126,20 @@ class TestConfig:
 
 
 class TestShipping:
+    def test_replica_acks_are_the_first_ack_stage(self):
+        """Replica acks are consulted and armed before the log flush,
+        also when durability was attached first by the deployment."""
+        database = ReactorDatabase(
+            shared_nothing(2, durability=DurabilityConfig(
+                enabled=True, mode="group"),
+                replication=ReplicationConfig(
+                    replicas_per_container=1, mode="sync")),
+            sb.declarations(N))
+        assert database.ack_stages == [database.replication,
+                                       database.durability]
+        assert ReactorDatabase(shared_nothing(2),
+                               sb.declarations(N)).ack_stages == []
+
     def test_sync_replicas_apply_every_record(self):
         database = replicated_bank(mode="sync")
         run_transfers(database, 10)

@@ -2,10 +2,10 @@
 
 Covers the metrics registry (catalog enforcement, histogram
 percentiles, label rendering, Prometheus text), the deterministic
-tracer (same seed => byte-identical Chrome export, across runs and
-across the batched/reference commit engines), the disabled path
-(no spans allocated, legacy stats shapes intact), the bench-summary
-embedding, and the trace validator (tools/check_trace.py).
+tracer (same seed => byte-identical Chrome export across runs), the
+disabled path (no spans allocated, legacy stats shapes intact), the
+bench-summary embedding, and the trace validator
+(tools/check_trace.py).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import drain_telemetry_summaries, run_measurement
-from repro.concurrency import batch
 from repro.core.database import ReactorDatabase
 from repro.core.deployment import RangePlacement, shared_nothing
 from repro.durability.config import DurabilityConfig
@@ -215,19 +214,6 @@ class TestTraceDeterminism:
         assert exports[0] == exports[1]
         assert '"ph": "X"' in exports[0]
 
-    def test_engines_byte_identical(self):
-        database = build_db(telemetry=full_tracing())
-        drive(database, seed=7)
-        batched = database.telemetry.export_chrome_json()
-        batch.set_batched(False)
-        try:
-            database = build_db(telemetry=full_tracing())
-            drive(database, seed=7)
-            reference = database.telemetry.export_chrome_json()
-        finally:
-            batch.set_batched(True)
-        assert batched == reference
-
     def test_sampling_is_by_txn_id(self):
         database = build_db(telemetry=TelemetryConfig(trace_sample=4))
         drive(database)
@@ -250,6 +236,24 @@ class TestTraceDeterminism:
         assert any(name.startswith("wait:") for name in names)
         # Group durability defers acks behind the epoch flush.
         assert "durability:ack_wait" in names
+
+    def test_ack_waits_nest_under_commit(self):
+        database = build_db(
+            telemetry=full_tracing(),
+            durability=DurabilityConfig(enabled=True, mode="group"),
+            replication=ReplicationConfig(replicas_per_container=1,
+                                          mode="sync"))
+        drive(database)
+        spans = database.telemetry.tracer.spans
+        by_id = {span.span_id: span for span in spans}
+        waits = [span for span in spans
+                 if span.name.endswith(":ack_wait")]
+        assert {span.name for span in waits} == {
+            "durability:ack_wait", "replication:ack_wait"}
+        assert all(by_id[span.parent_id].name == "commit"
+                   for span in waits)
+        payload = json.loads(database.telemetry.export_chrome_json())
+        assert check_trace.check_payload(payload) == []
 
     def test_migration_spans(self):
         database = build_db(telemetry=full_tracing())
@@ -301,6 +305,20 @@ class TestTraceDeterminism:
                   if e.get("ph") == "X"]
         events[0]["ts"] = events[-1]["ts"] + 1_000.0
         assert check_trace.check_payload(broken)
+        # An ack wait hung under its txn instead of its commit.
+        durable = build_db(telemetry=full_tracing(),
+                           durability=DurabilityConfig(enabled=True,
+                                                       mode="group"))
+        drive(durable)
+        broken = durable.telemetry.export_chrome()
+        events = {e["args"]["span_id"]: e for e in broken["traceEvents"]
+                  if e.get("ph") == "X"}
+        wait = next(e for e in events.values()
+                    if e["name"] == "durability:ack_wait")
+        commit = events[wait["args"]["parent_span_id"]]
+        wait["args"]["parent_span_id"] = commit["args"]["parent_span_id"]
+        assert any("not a commit span" in problem for problem in
+                   check_trace.check_payload(broken))
         # Unknown metric name.
         broken = json.loads(json.dumps(payload))
         broken["metrics"]["bogus_metric_total"] = 1

@@ -10,6 +10,8 @@ human loading the file into Perfetto:
 * every ``parent_span_id`` resolves to an emitted span on the same
   track, and the child's interval nests inside its parent's (small
   epsilon for the 3-decimal rounding);
+* every commit-acknowledgement wait (a ``*:ack_wait`` span) is a
+  child of its transaction's ``commit`` span;
 * events are sorted by timestamp (the exporter's deterministic
   ordering contract);
 * each process id used by an event has a ``process_name`` metadata
@@ -99,10 +101,14 @@ def check_events(events: list,
         spans[span_id] = event
     for event in spans.values():
         parent_id = event["args"].get("parent_span_id")
-        if parent_id is None:
-            continue
         parent = spans.get(parent_id)
         name = event.get("name")
+        if str(name).endswith(":ack_wait") and \
+                (parent is None or parent.get("name") != "commit"):
+            problems.append(f"span {event['args']['span_id']} ({name}): "
+                            f"parent is not a commit span")
+        if parent_id is None:
+            continue
         if parent is None:
             problems.append(f"span {event['args']['span_id']} "
                             f"({name}): parent {parent_id} not in "

@@ -9,16 +9,18 @@ trace-event JSON — loadable in Perfetto (https://ui.perfetto.dev) or
 
 The simulation runs entirely on the virtual clock and the tracer adds
 no scheduler events and consumes no randomness, so the same seed
-yields a *byte-identical* file on every run and under either hot-path
-engine (``REPRO_HOTPATH=reference`` vs batched) — CI exports twice and
+yields a *byte-identical* file on every run — CI exports twice and
 ``cmp``s the bytes, then validates the structure with
-``tools/check_trace.py``.
+``tools/check_trace.py``.  ``--replication sync`` adds one replica per
+container, so commits also wait on replica acks.
 
 Usage::
 
     PYTHONPATH=src python tools/trace_export.py --out trace.json
     PYTHONPATH=src python tools/trace_export.py \
         --seed 7 --durability group --measure-us 20000 --out -
+    PYTHONPATH=src python tools/trace_export.py --replication sync \
+        --out trace_sync.json
 """
 
 from __future__ import annotations
@@ -38,22 +40,28 @@ DEFAULT_OUT = REPO / "benchmarks" / "results" / \
 def export_trace(seed: int = 42, n_customers: int = 12,
                  workers: int = 3, measure_us: float = 10_000.0,
                  durability: str = "group",
-                 scheme: str = "occ") -> str:
+                 scheme: str = "occ",
+                 replication: str = "none") -> str:
     """One seeded SmallBank run under full tracing; returns the
     Chrome trace-event JSON text."""
     from repro.bench.harness import run_measurement
     from repro.core.database import ReactorDatabase
     from repro.core.deployment import RangePlacement, shared_nothing
     from repro.durability.config import DurabilityConfig
+    from repro.replication.config import ReplicationConfig
     from repro.telemetry.config import full_tracing
     from repro.workloads import smallbank
 
     dur = None
     if durability != "off":
         dur = DurabilityConfig(enabled=True, mode=durability)
+    repl = None
+    if replication != "none":
+        repl = ReplicationConfig(replicas_per_container=1,
+                                 mode=replication)
     deployment = shared_nothing(
         3, mpl=4, cc_scheme=scheme,
-        placement=RangePlacement(4), durability=dur)
+        placement=RangePlacement(4), durability=dur, replication=repl)
     deployment.telemetry = full_tracing()
     database = ReactorDatabase(deployment,
                                smallbank.declarations(n_customers))
@@ -74,6 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--durability", default="group",
                         choices=("off", "sync", "group", "async"))
     parser.add_argument("--scheme", default="occ")
+    parser.add_argument("--replication", default="none",
+                        choices=("none", "sync", "async"),
+                        help="replication mode (one replica per "
+                             "container)")
     parser.add_argument("--out", default=str(DEFAULT_OUT),
                         help="output path, or '-' for stdout")
     args = parser.parse_args(argv)
@@ -82,7 +94,8 @@ def main(argv: list[str] | None = None) -> int:
                         workers=args.workers,
                         measure_us=args.measure_us,
                         durability=args.durability,
-                        scheme=args.scheme)
+                        scheme=args.scheme,
+                        replication=args.replication)
     if args.out == "-":
         sys.stdout.write(text)
         return 0
