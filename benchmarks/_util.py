@@ -92,38 +92,13 @@ def json_enabled(argv: list[str] | None = None) -> bool:
     return "--json" in argv or env not in ("", "0", "false", "no")
 
 
-def backend_arg(argv: list[str] | None = None,
-                default: str = "sim") -> str:
-    """The ``--backend <name>`` (or ``--backend=<name>``) selection.
-
-    Shared by every benchmark script that can run on more than one
-    execution backend; the chosen name also lands in the JSON ``meta``
-    block (pass it to :func:`emit_json` as ``backend=``) so archived
-    numbers say whether they are virtual-time or wall-clock.
-    """
-    argv = sys.argv if argv is None else argv
-    for i, arg in enumerate(argv):
-        if arg == "--backend":
-            if i + 1 >= len(argv):
-                raise SystemExit("--backend needs a value "
-                                 "(sim or threads)")
-            return argv[i + 1]
-        if arg.startswith("--backend="):
-            return arg.split("=", 1)[1]
-    return default
-
-
 def emit_json(name: str, payload: Any,
-              config: dict[str, Any] | None = None,
-              backend: str | None = None) -> Path:
+              config: dict[str, Any] | None = None) -> Path:
     """Persist ``payload`` as ``benchmarks/results/BENCH_<name>.json``.
 
     A ``meta`` block (git SHA + the benchmark's ``config`` dict) is
     recorded alongside dict payloads so every archived result is
     attributable to the code and parameters that produced it.
-    ``backend`` records the execution backend when the benchmark ran
-    on one (omitted → ``"sim"``, the only backend pre-existing
-    benchmarks use).
     """
     _ensure_results_dir()
     if isinstance(payload, dict):
@@ -132,7 +107,7 @@ def emit_json(name: str, payload: Any,
             "meta": {
                 "benchmark": name,
                 "git_sha": git_sha(),
-                "backend": backend or "sim",
+                "backend": "sim",
                 "config": dict(config or {}),
             },
         }

@@ -12,9 +12,10 @@ of disappearing into a stalled sender (see ``docs/serving.md``).
 Two phases:
 
 * ``open_loop`` — one row per arrival rate with p50/p99/p999
-  wall-clock latency, achieved throughput, and shed fraction.  At the
-  lowest rate nothing may be shed (the server is unloaded; a shed
-  there is a bug, asserted unless ``--no-assert``).
+  wall-clock latency, the number of latency samples behind them,
+  achieved throughput, and shed fraction.  At the lowest rate nothing
+  may be shed (the server is unloaded; a shed there is a bug,
+  asserted unless ``--no-assert``).
 * ``saturate`` — a deliberately tiny admission bound (``max_inflight``)
   under a burst far above it: every refusal must be the *typed*
   ``Overloaded`` answer with a positive retry-after hint, never a
@@ -22,17 +23,19 @@ Two phases:
 
 Numbers are wall-clock and machine-bound, so the committed baseline is
 compared report-only in CI (``tools/bench_compare.py serving_latency``
-with the gate echoed as a notice, like ``backend_scaleup``); the
-``arrival_rate`` key identifies rows.
+with the gate echoed as a notice); the ``arrival_rate`` key identifies
+rows.  A percentile needs enough samples to differ from the sample
+maximum: the text report marks p99 unresolved below
+:data:`P99_MIN_SAMPLES` samples and p999 below :data:`P999_MIN_SAMPLES`.
 
 Run as a script: ``python bench_serving_latency.py [--tiny] [--json]
-[--backend sim|threads] [--no-assert]``.
+[--no-assert]``.
 """
 
 import sys
 import time
 
-from _util import backend_arg, emit_json, emit_report, json_enabled
+from _util import emit_json, emit_report, json_enabled
 
 from repro.bench.report import print_table
 from repro.client import TcpClient
@@ -57,6 +60,11 @@ SATURATE_COUNT = {"full": 400, "tiny": 120}
 
 SEED = 42
 
+#: Fewest latency samples that resolve a p99 (ten samples above it)
+#: and a p999.
+P99_MIN_SAMPLES = 1_000
+P999_MIN_SAMPLES = 10_000
+
 CONFIG = {
     "smallbank_customers": SB_CUSTOMERS,
     "rates": {k: list(v) for k, v in RATES.items()},
@@ -67,10 +75,10 @@ CONFIG = {
 }
 
 
-def _build(backend: str) -> ReactorDatabase:
+def _build() -> ReactorDatabase:
     deployment = shared_nothing(
         2, mpl=8, cc_scheme="occ",
-        placement=RangePlacement(SB_CUSTOMERS // 2), backend=backend)
+        placement=RangePlacement(SB_CUSTOMERS // 2))
     database = ReactorDatabase(
         deployment, smallbank.declarations(SB_CUSTOMERS))
     smallbank.load(database, SB_CUSTOMERS)
@@ -84,8 +92,8 @@ def _spec_for(index: int):
             "deposit_checking", (1.0,))
 
 
-def measure_rate(backend: str, rate: float, mode: str) -> dict:
-    database = _build(backend)
+def measure_rate(rate: float, mode: str) -> dict:
+    database = _build()
     server = serve_in_thread(database)
     client = TcpClient(server.host, server.port).connect()
     count = max(20, int(rate * DURATIONS[mode]))
@@ -95,10 +103,9 @@ def measure_rate(backend: str, rate: float, mode: str) -> dict:
     wall = time.perf_counter() - start
     client.close()
     server.stop()
-    database.close()
     return {
         "workload": "smallbank",
-        "backend": backend,
+        "backend": "sim",
         "mode": mode,
         "phase": "open_loop",
         "wall_seconds": round(wall, 4),
@@ -106,8 +113,8 @@ def measure_rate(backend: str, rate: float, mode: str) -> dict:
     }
 
 
-def measure_saturation(backend: str, mode: str) -> dict:
-    database = _build(backend)
+def measure_saturation(mode: str) -> dict:
+    database = _build()
     server = serve_in_thread(database,
                              max_inflight=SATURATE_MAX_INFLIGHT)
     client = TcpClient(server.host, server.port).connect()
@@ -116,10 +123,9 @@ def measure_saturation(backend: str, mode: str) -> dict:
     result = run_open_loop(client, schedule, _spec_for)
     client.close()
     server.stop()
-    database.close()
     return {
         "workload": "smallbank",
-        "backend": backend,
+        "backend": "sim",
         "mode": mode,
         "phase": "saturate",
         "max_inflight": SATURATE_MAX_INFLIGHT,
@@ -127,14 +133,13 @@ def measure_saturation(backend: str, mode: str) -> dict:
     }
 
 
-def build_payload(backend: str, mode: str) -> dict:
-    rows = [measure_rate(backend, rate, mode)
-            for rate in RATES[mode]]
-    rows.append(measure_saturation(backend, mode))
+def build_payload(mode: str) -> dict:
+    rows = [measure_rate(rate, mode) for rate in RATES[mode]]
+    rows.append(measure_saturation(mode))
     return {
         "runs": rows,
         #: Report-only in CI (wall numbers are machine-bound): the
-        #: band only orders the textual report, as backend_scaleup.
+        #: band only orders the textual report.
         "gate": {"metric": "throughput_tps", "tolerance": 0.5},
     }
 
@@ -162,43 +167,50 @@ def assert_serving(payload: dict) -> None:
 
 
 HEADERS = ["phase", "rate req/s", "offered", "committed", "shed",
-           "p50 us", "p99 us", "p999 us", "send lag us"]
+           "samples", "p50 us", "p99 us", "p999 us", "send lag us"]
+
+
+def _resolved(value: float, samples: int, needed: int):
+    """``value``, or it marked ``*`` when too few samples resolve it."""
+    return value if samples >= needed else f"{value:,.0f}*"
 
 
 def _report(payload):
     rows = []
     for run in payload["runs"]:
+        samples = run["samples"]
         rows.append([
             run["phase"], run["arrival_rate"], run["offered"],
-            run["committed"], run["shed"], run["p50_us"],
-            run["p99_us"], run["p999_us"], run["max_send_lag_us"],
+            run["committed"], run["shed"], samples, run["p50_us"],
+            _resolved(run["p99_us"], samples, P99_MIN_SAMPLES),
+            _resolved(run["p999_us"], samples, P999_MIN_SAMPLES),
+            run["max_send_lag_us"],
         ])
     print_table(
         "Serving latency: open-loop wall-clock percentiles from "
         "intended send times (coordinated-omission-aware)",
         HEADERS, rows)
+    print(f"* unresolved: p99 needs >= {P99_MIN_SAMPLES:,} samples, "
+          f"p999 >= {P999_MIN_SAMPLES:,}; below that it is (close to) "
+          "the sample maximum")
 
 
 def test_serving_latency(benchmark):
-    backend = "sim"
-    payload = build_payload(backend, "tiny")
+    payload = build_payload("tiny")
     emit_report("serving_latency", lambda: _report(payload))
     assert_serving(payload)
-    benchmark.pedantic(
-        lambda: measure_rate(backend, 200.0, "tiny"),
-        rounds=1, iterations=1)
+    benchmark.pedantic(lambda: measure_rate(200.0, "tiny"),
+                       rounds=1, iterations=1)
 
 
 def main(argv: list[str] | None = None) -> None:
     argv = sys.argv[1:] if argv is None else argv
     mode = "tiny" if "--tiny" in argv else "full"
-    backend = backend_arg(argv)
-    payload = build_payload(backend, mode)
+    payload = build_payload(mode)
     emit_report("serving_latency", lambda: _report(payload))
     if json_enabled(argv):
         path = emit_json("serving_latency", payload,
-                         config={**CONFIG, "mode": mode},
-                         backend=backend)
+                         config={**CONFIG, "mode": mode})
         print(f"wrote {path}")
     if "--no-assert" not in argv:
         assert_serving(payload)

@@ -100,7 +100,6 @@ def main():
               f"{refused.retry_after_us:.0f} usec")
     client.close()
     server.stop()
-    db.close()
 
 
 if __name__ == "__main__":

@@ -61,9 +61,6 @@ class MeasurementResult:
     #: ``database.telemetry.bench_summary()`` at measurement end
     #: (empty when telemetry is disabled).
     telemetry: dict = field(default_factory=dict)
-    #: Execution backend that produced the numbers: ``"sim"`` times are
-    #: virtual microseconds, ``"threads"`` times are wall-clock.
-    backend: str = "sim"
 
     def utilization(self) -> dict[int, float]:
         """Core utilization in [0, 1] over the measurement window."""
@@ -123,7 +120,6 @@ def run_measurement(database: "ReactorDatabase | Any", n_workers: int,
         core_busy=core_busy,
         window_us=measure_us,
         telemetry=_note_telemetry(database),
-        backend=getattr(scheduler, "name", "sim"),
     )
 
 
@@ -168,5 +164,4 @@ def single_worker_latency(database: "ReactorDatabase | Any",
         core_busy={e.core_id: e.busy_time for e in database.executors},
         window_us=window_end - window_start,
         telemetry=_note_telemetry(database),
-        backend=getattr(database.scheduler, "name", "sim"),
     )

@@ -32,7 +32,6 @@ from repro.errors import (
     TransactionAbort,
     UnknownReactorError,
 )
-from repro.runtime.backend import create_backend
 from repro.runtime.container import Container
 from repro.runtime.executor import Invocation, TransactionExecutor
 from repro.runtime.transaction import RootTransaction, TxnStats
@@ -46,14 +45,10 @@ class ReactorDatabase:
     """An instantiated reactor database on a simulated machine."""
 
     def __init__(self, deployment: DeploymentConfig,
-                 reactors: Sequence[tuple[str, ReactorType]],
-                 scheduler: SimScheduler | None = None) -> None:
+                 reactors: Sequence[tuple[str, ReactorType]]) -> None:
         self.deployment = deployment
-        #: The execution backend (see :mod:`repro.runtime.backend`):
-        #: ``deployment.backend`` selects it; passing an explicit
-        #: ``scheduler`` (tests, shared-clock experiments) overrides.
-        self.scheduler = scheduler or create_backend(deployment)
-        self.backend_name = getattr(self.scheduler, "name", "sim")
+        #: The discrete-event scheduler everything runs on.
+        self.scheduler = SimScheduler()
         self.costs = deployment.machine.costs
         self.epochs = EpochManager()
         #: The multi-version storage engine state: pinned snapshots of
@@ -161,13 +156,6 @@ class ReactorDatabase:
 
         self.telemetry.attach_collectors()
 
-        # Wall-clock backends spawn their per-container worker threads
-        # only once the container count is known; the sim backend has
-        # no attach hook.
-        attach = getattr(self.scheduler, "attach", None)
-        if attach is not None:
-            attach(len(self.containers))
-
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
@@ -206,21 +194,6 @@ class ReactorDatabase:
         replica of their home container — bounded-staleness reads on
         separate simulated cores.
         """
-        # Transaction-id assignment, routing counters, and telemetry
-        # are shared bookkeeping: on a multi-threaded backend the
-        # client enters under the state guard; the sim backend (lock
-        # is None) keeps its pre-backend straight-line path.
-        if self.scheduler.lock is None:
-            return self._submit(reactor_name, proc_name, args, kwargs,
-                                on_done, read_only)
-        with self.scheduler.state_guard():
-            return self._submit(reactor_name, proc_name, args, kwargs,
-                                on_done, read_only)
-
-    def _submit(self, reactor_name: str, proc_name: str,
-                args: tuple, kwargs: dict[str, Any],
-                on_done: Callable[..., None] | None,
-                read_only: bool | None) -> RootTransaction:
         reactor = self.reactor(reactor_name)
         if self.migration is not None:
             self.migration.note_submit(reactor_name)
@@ -252,21 +225,7 @@ class ReactorDatabase:
             self.refuse_root(root, reactor.container.container_id,
                              on_done)
             return root
-        executor = self._route_root(reactor)
-        if not self.scheduler.admit_root(executor):
-            # Bounded intake (wall-clock backends): the target
-            # executor's work queue is at its admission bound, so shed
-            # the root at the door instead of growing the queue without
-            # limit.  Sheds count as refused roots, never as aborts.
-            root.finished = True
-            reason = (f"container {reactor.container.container_id} "
-                      "backpressure: admission queue full")
-            self.telemetry.note_root_done(root, False, reason,
-                                          self.scheduler.now)
-            if on_done is not None:
-                self.scheduler.soon(on_done, root, False, reason, None)
-            return root
-        executor.submit(invocation)
+        self._route_root(reactor).submit(invocation)
         return root
 
     def count_failover_abort(self) -> None:
@@ -323,16 +282,6 @@ class ReactorDatabase:
         """
         if not self.snapshot_reads_enabled:
             return None
-        if self.scheduler.lock is None:
-            return self._begin_snapshot_session(root, container)
-        # Pinning reads the global watermark and advances every
-        # container's TID generator — cross-container state that a
-        # wall-clock backend serializes under the state guard.
-        with self.scheduler.state_guard():
-            return self._begin_snapshot_session(root, container)
-
-    def _begin_snapshot_session(self, root: RootTransaction,
-                                container: Any):
         if root.snapshot_tid is None:
             if getattr(container, "role", None) == "replica":
                 # Replica-scoped pin: retains history only on this
@@ -548,7 +497,6 @@ class ReactorDatabase:
         replays after the routing flip; replica shards are re-homed
         when the deployment replicates.
         """
-        self._require_virtual("online migration")
         return self.migration.migrate(reactor_name, dst_container,
                                       on_done=on_done)
 
@@ -557,35 +505,15 @@ class ReactorDatabase:
         overloaded containers (see
         :class:`~repro.migration.config.MigrationConfig` for the
         imbalance threshold).  Returns the migrations started."""
-        self._require_virtual("elastic rebalancing")
         return self.migration.rebalance()
 
     def migration_stats(self) -> dict[str, Any]:
         """Migration / rebalancing counters and per-event details."""
         return self.migration.stats_dict()
 
-    def _require_virtual(self, feature: str) -> None:
-        if not getattr(self.scheduler, "is_virtual", True):
-            raise DeploymentError(
-                f"{feature} requires the virtual-time 'sim' backend; "
-                f"the {self.backend_name!r} backend does not support "
-                "it yet (see docs/backends.md)"
-            )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
     def close(self) -> None:
-        """Release the execution backend's OS resources.
-
-        A no-op on the sim backend (a discrete-event scheduler owns
-        nothing); on the ``threads`` backend this stops and joins the
-        per-container worker, client, and timer threads.  Idempotent.
-        """
-        shutdown = getattr(self.scheduler, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        """Nothing to release: the scheduler owns no OS resources.
+        Kept because the benchmark scripts pair each build with a close."""
 
 
 __all__ = ["ReactorDatabase", "RootTransaction", "TxnStats"]

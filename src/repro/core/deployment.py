@@ -116,11 +116,6 @@ class ExplicitPlacement(Placement):
 ROUND_ROBIN = "round_robin"
 AFFINITY = "affinity"
 
-#: Execution backends a deployment may select (kept as a local tuple —
-#: the backend registry lives in :mod:`repro.runtime.backend`, which
-#: this module must not import at module scope).
-BACKENDS = ("sim", "threads")
-
 
 @dataclass
 class ContainerSpec:
@@ -186,11 +181,6 @@ class DeploymentConfig:
     #: the default reads the ``REPRO_TELEMETRY``/``REPRO_TRACE``
     #: environment overrides.
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: Execution backend: ``"sim"`` (virtual-time discrete-event
-    #: simulation, the certification oracle) or ``"threads"`` (one OS
-    #: thread per container, wall-clock measurement on real hardware
-    #: — see :mod:`repro.runtime.threads` and ``docs/backends.md``).
-    backend: str = "sim"
 
     def __post_init__(self) -> None:
         if not self.containers:
@@ -210,18 +200,6 @@ class DeploymentConfig:
             raise DeploymentError(
                 f"unknown cc_scheme {self.cc_scheme!r}; expected one "
                 f"of {', '.join(cc_scheme_names())}"
-            )
-        if self.backend not in BACKENDS:
-            raise DeploymentError(
-                f"unknown execution backend {self.backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
-        if self.backend == "threads" and self.replication.enabled:
-            raise DeploymentError(
-                "the threads backend does not support replication "
-                "yet: failover injection and replica log shipping are "
-                "simulation-only (run the deployment on backend "
-                "'sim', or drop replication)"
             )
         if self.replication.read_from_replicas and \
                 self.cc_scheme not in ("occ", "mvocc") and \
@@ -254,7 +232,6 @@ class DeploymentConfig:
         "name", "machine", "containers", "routing", "pin_reactors",
         "placement", "cc_scheme", "snapshot_reads",
         "replication", "migration", "durability", "telemetry",
-        "backend",
     })
 
     def to_dict(self) -> dict[str, Any]:
@@ -274,7 +251,6 @@ class DeploymentConfig:
             "migration": self.migration.to_dict(),
             "durability": self.durability.to_dict(),
             "telemetry": self.telemetry.to_dict(),
-            "backend": self.backend,
         }
 
     @staticmethod
@@ -307,7 +283,6 @@ class DeploymentConfig:
                 data.get("durability", {})),
             telemetry=TelemetryConfig.from_dict(
                 data.get("telemetry", {})),
-            backend=str(data.get("backend", "sim")),
         )
 
     def to_json(self) -> str:
@@ -328,8 +303,7 @@ def shared_everything_without_affinity(
         cc_scheme: str = "occ",
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
-        durability: DurabilityConfig | None = None,
-        backend: str = "sim"
+        durability: DurabilityConfig | None = None
         ) -> DeploymentConfig:
     """S1: one container, round-robin load balancing, MPL 1."""
     return DeploymentConfig(
@@ -343,7 +317,6 @@ def shared_everything_without_affinity(
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
-        backend=backend,
     )
 
 
@@ -353,8 +326,7 @@ def shared_everything_with_affinity(
         cc_scheme: str = "occ",
         snapshot_reads: bool = False,
         replication: ReplicationConfig | None = None,
-        durability: DurabilityConfig | None = None,
-        backend: str = "sim"
+        durability: DurabilityConfig | None = None
         ) -> DeploymentConfig:
     """S2: one container, affinity routing, MPL 1 (Silo-like setup)."""
     return DeploymentConfig(
@@ -368,7 +340,6 @@ def shared_everything_with_affinity(
         snapshot_reads=snapshot_reads,
         replication=replication or NO_REPLICATION,
         durability=durability or NO_DURABILITY,
-        backend=backend,
     )
 
 
@@ -379,8 +350,7 @@ def shared_nothing(n_containers: int,
                    snapshot_reads: bool = False,
                    replication: ReplicationConfig | None = None,
                    migration: MigrationConfig | None = None,
-                   durability: DurabilityConfig | None = None,
-                   backend: str = "sim"
+                   durability: DurabilityConfig | None = None
                    ) -> DeploymentConfig:
     """S3: one executor per container, reactors pinned.
 
@@ -402,5 +372,4 @@ def shared_nothing(n_containers: int,
         replication=replication or NO_REPLICATION,
         migration=migration or DEFAULT_MIGRATION,
         durability=durability or NO_DURABILITY,
-        backend=backend,
     )

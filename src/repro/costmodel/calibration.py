@@ -91,20 +91,15 @@ def calibrate_from_summary(summary: RunSummary, n_remote_sync: int = 1,
 
 @dataclass(frozen=True)
 class MeasuredCosts:
-    """Per-operation costs fitted from wall-clock measurements.
+    """Per-operation costs fitted from measured runs.
 
-    Produced by :func:`fit_measured_costs` from runs on the
-    ``threads`` execution backend: each sample pairs the operation
-    counts a run performed with the CPU-busy microseconds it consumed,
-    and the fit solves for the per-operation cost vector that best
-    explains the measurements.  The result plugs straight into the
-    certify-then-measure loop — certify a deployment on the sim
-    backend, measure it on threads, then re-fit the sim's cost
-    parameters so virtual predictions track the hardware.
+    Produced by :func:`fit_measured_costs`: each sample pairs the
+    operation counts a run performed with the CPU-busy microseconds it
+    consumed, and the fit solves for the per-operation cost vector
+    that best explains the measurements, so the virtual cost model's
+    parameters can be re-fitted to track whatever produced them.
     """
 
-    #: Execution backend the measurements came from.
-    backend: str
     #: Fitted microseconds per operation, keyed by operation name.
     costs: dict[str, float] = field(default_factory=dict)
     #: Root-mean-square residual of the fit (µs per sample).
@@ -146,19 +141,18 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 
 def fit_measured_costs(
         samples: Sequence[tuple[Mapping[str, float], float]],
-        backend: str = "threads",
         ridge: float = 1e-9) -> MeasuredCosts:
     """Least-squares fit of per-operation costs to measured busy time.
 
     ``samples`` is a sequence of ``(op_counts, busy_us)`` pairs: how
     many of each operation a measured run performed (e.g. commits,
     remote sub-calls, log appends — any counters the caller trusts)
-    and the wall-clock CPU-busy microseconds the run consumed
-    (``ThreadsBackend.container_busy_us`` totals, or a measurement
-    window's ``core_busy`` sum on sim).  Solves the normal equations
-    ``(AᵀA + ridge·I) c = Aᵀb`` for the cost vector ``c`` ≥ 0 is *not*
-    enforced — a negative fitted cost is a signal the sample set does
-    not separate that operation, not a value to clamp silently.
+    and the CPU-busy microseconds the run consumed (from any measured
+    run, e.g. a measurement window's ``core_busy`` sum).  Solves the
+    normal equations ``(AᵀA + ridge·I) c = Aᵀb`` for the cost vector
+    ``c``; ``c`` ≥ 0 is *not* enforced — a negative fitted cost is a
+    signal the sample set does not separate that operation, not a
+    value to clamp silently.
 
     Needs at least as many samples as distinct operations, with
     linearly independent count vectors (vary the workload mix or the
@@ -187,5 +181,5 @@ def fit_measured_costs(
         predicted = sum(c * x for c, x in zip(solution, row))
         sq_err += (predicted - b) ** 2
     residual = (sq_err / len(samples)) ** 0.5
-    return MeasuredCosts(backend=backend, costs=costs,
+    return MeasuredCosts(costs=costs,
                          residual_us=residual, samples=len(samples))

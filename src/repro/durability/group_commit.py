@@ -90,10 +90,6 @@ class LogFlusher:
         #: ``None`` (bare construction in unit tests) keeps the
         #: pipeline fully functional on its direct counters.
         self.telemetry = telemetry
-        #: Future type matching the execution backend: thread-safe on
-        #: wall-clock backends, the plain single-threaded future on sim.
-        self._future_cls = getattr(scheduler, "future_class", None) \
-            or SimFuture
         if telemetry is not None and telemetry.enabled:
             self._records_hist = telemetry.registry.histogram(
                 "log_flush_records")
@@ -217,9 +213,8 @@ class LogFlusher:
         epoch = self._record_epoch.get(commit_tid)
         if epoch is None or epoch.durable:
             return None
-        future = self._future_cls(
-            remote=False, subtxn_id=0,
-            target_reactor=f"log:{self.container_id}")
+        future = SimFuture(remote=False, subtxn_id=0,
+                           target_reactor=f"log:{self.container_id}")
         epoch.waiters.append(future)
         return future
 

@@ -312,9 +312,8 @@ class DurabilityManager(AckStage):
         # participant's epoch flushed — the property that keeps acked
         # commits atomic across kill-at-arbitrary-epoch crashes.
         scheduler = self.database.scheduler
-        future_cls = getattr(scheduler, "future_class", None) or SimFuture
-        joint = future_cls(remote=False, subtxn_id=0,
-                           target_reactor="log:join")
+        joint = SimFuture(remote=False, subtxn_id=0,
+                          target_reactor="log:join")
         remaining = {"n": len(futures)}
 
         def one_done(fut: SimFuture) -> None:

@@ -95,8 +95,7 @@ def tpcc_deployment(strategy: str, n_executors: int,
                     mpl: int = 4,
                     cc_scheme: str = "occ",
                     replication: ReplicationConfig | None = None,
-                    durability: DurabilityConfig | None = None,
-                    backend: str = "sim"
+                    durability: DurabilityConfig | None = None
                     ) -> DeploymentConfig:
     """A TPC-C deployment per paper strategy name.
 
@@ -110,19 +109,17 @@ def tpcc_deployment(strategy: str, n_executors: int,
     if strategy == "shared-everything-without-affinity":
         return shared_everything_without_affinity(
             n_executors, machine=machine, cc_scheme=cc_scheme,
-            replication=replication, durability=durability,
-            backend=backend)
+            replication=replication, durability=durability)
     if strategy == "shared-everything-with-affinity":
         return shared_everything_with_affinity(
             n_executors, machine=machine, cc_scheme=cc_scheme,
-            replication=replication, durability=durability,
-            backend=backend)
+            replication=replication, durability=durability)
     if strategy in ("shared-nothing-async", "shared-nothing-sync",
                     "shared-nothing"):
         return shared_nothing(n_executors, machine=machine, mpl=mpl,
                               cc_scheme=cc_scheme,
                               replication=replication,
-                              durability=durability, backend=backend)
+                              durability=durability)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -132,8 +129,7 @@ def tpcc_database(strategy: str, n_warehouses: int,
                   mpl: int = 4, n_executors: int | None = None,
                   cc_scheme: str = "occ",
                   replication: ReplicationConfig | None = None,
-                  durability: DurabilityConfig | None = None,
-                  backend: str = "sim"
+                  durability: DurabilityConfig | None = None
                   ) -> ReactorDatabase:
     """Build and load a TPC-C database under one strategy.
 
@@ -142,8 +138,7 @@ def tpcc_database(strategy: str, n_warehouses: int,
     deployment = tpcc_deployment(
         strategy, n_executors or n_warehouses, machine=machine,
         mpl=mpl, cc_scheme=cc_scheme,
-        replication=replication, durability=durability,
-        backend=backend)
+        replication=replication, durability=durability)
     database = ReactorDatabase(deployment,
                                tpcc.declarations(n_warehouses))
     tpcc.load(database, n_warehouses, scale)

@@ -7,22 +7,21 @@ routing, asynchronous sub-transaction dispatch with asymmetric
 communication costs, and the dynamic intra-transaction safety
 condition.
 
+Everything runs on the one discrete-event scheduler
+(:class:`repro.sim.scheduler.SimScheduler`); executors call it
+directly.
+
 Public exports: :class:`Container`, :class:`TransactionExecutor` with
-its :class:`Invocation` request envelope, :class:`SimFuture` /
-:class:`ThreadSafeFuture`, the procedure effects (:class:`CallEffect`,
-:class:`GetEffect`, :class:`ChargeEffect`), the root-transaction
-bookkeeping (:class:`RootTransaction`, :class:`TxnStats`,
-:data:`CATEGORIES`), and the execution-backend registry
-(:func:`create_backend`, :func:`backend_names`, :class:`SimBackend`,
-:class:`ThreadsBackend`).
+its :class:`Invocation` request envelope, :class:`SimFuture`, the
+procedure effects (:class:`CallEffect`, :class:`GetEffect`,
+:class:`ChargeEffect`), and the root-transaction bookkeeping
+(:class:`RootTransaction`, :class:`TxnStats`, :data:`CATEGORIES`).
 """
 
-from repro.runtime.backend import SimBackend, backend_names, create_backend
 from repro.runtime.container import Container
 from repro.runtime.effects import CallEffect, ChargeEffect, GetEffect
 from repro.runtime.executor import Invocation, TransactionExecutor
-from repro.runtime.futures import SimFuture, ThreadSafeFuture
-from repro.runtime.threads import ThreadsBackend
+from repro.runtime.futures import SimFuture
 from repro.runtime.transaction import CATEGORIES, RootTransaction, TxnStats
 
 __all__ = [
@@ -30,11 +29,6 @@ __all__ = [
     "TransactionExecutor",
     "Invocation",
     "SimFuture",
-    "ThreadSafeFuture",
-    "SimBackend",
-    "ThreadsBackend",
-    "create_backend",
-    "backend_names",
     "CallEffect",
     "GetEffect",
     "ChargeEffect",

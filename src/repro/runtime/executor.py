@@ -164,7 +164,7 @@ class TransactionExecutor:
     __slots__ = ("executor_id", "core_id", "container", "scheduler",
                  "costs", "mpl", "queue", "ready", "running",
                  "_dispatch_scheduled", "busy_time", "requests_served",
-                 "_shadow_of", "_cid", "_future_cls")
+                 "_shadow_of")
 
     def __init__(self, executor_id: int, core_id: int, container: Any,
                  scheduler: Any, costs: Any, mpl: int = 1) -> None:
@@ -173,14 +173,7 @@ class TransactionExecutor:
         self.executor_id = executor_id
         self.core_id = core_id
         self.container = container
-        #: The execution backend (see :mod:`repro.runtime.backend`);
-        #: the attribute keeps its historical name because the whole
-        #: runtime schedules through it.
         self.scheduler = scheduler
-        #: Backend-chosen future type (thread-safe under ``threads``).
-        self._future_cls = getattr(scheduler, "future_class", None) \
-            or SimFuture
-        self._cid = container.container_id
         self.costs = costs
         self.mpl = mpl
         self.queue: deque[Invocation] = deque()
@@ -214,15 +207,9 @@ class TransactionExecutor:
         self._kick()
 
     def _kick(self) -> None:
-        # post() targets this executor's container context: on the sim
-        # backend that is soon(); on the threads backend it routes the
-        # dispatch onto this container's worker thread even when the
-        # kick came from another thread (cross-container submit).  The
-        # _dispatch_scheduled flag is a best-effort dampener — a racy
-        # double-post only runs _dispatch twice, which is idempotent.
         if self.running is None and not self._dispatch_scheduled:
             self._dispatch_scheduled = True
-            self.scheduler.post(self._cid, self._dispatch)
+            self.scheduler.soon(self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
@@ -409,9 +396,6 @@ class TransactionExecutor:
         if task.invocation.subtxn_id == 0:
             task.root.charge(_BREAKDOWN[category], micros)
         if micros > 0.0:
-            # Backend hook: a virtual sleep on sim (byte-identical to
-            # the historical after()), an inline continuation on the
-            # threads backend where real CPU work subsumes the charge.
             self.scheduler.busy(micros, fn, *args)
         else:
             fn(*args)
@@ -487,8 +471,8 @@ class TransactionExecutor:
             # the routing flip, so the transaction spans the migration
             # and commits through 2PC like any cross-container one.
             subtxn_id = root.next_subtxn_id()
-            future = self._future_cls(remote=True, subtxn_id=subtxn_id,
-                                      target_reactor=reactor.name)
+            future = SimFuture(remote=True, subtxn_id=subtxn_id,
+                               target_reactor=reactor.name)
             future.birth_seq = root.effect_seq
             task.frames[-1].pending.append(future)
             root.remote_calls += 1
@@ -534,8 +518,8 @@ class TransactionExecutor:
                 f"race on reactor {reactor.name!r}"
             ))
             return
-        future = self._future_cls(remote=True, subtxn_id=subtxn_id,
-                                  target_reactor=reactor.name)
+        future = SimFuture(remote=True, subtxn_id=subtxn_id,
+                           target_reactor=reactor.name)
         future.birth_seq = root.effect_seq
         task.frames[-1].pending.append(future)
         root.remote_calls += 1
@@ -569,8 +553,8 @@ class TransactionExecutor:
 
     def _run_inline(self, task: Task, reactor: Any, call: CallEffect,
                     subtxn_id: int, entered: bool) -> None:
-        future = self._future_cls(remote=False, subtxn_id=subtxn_id,
-                                  target_reactor=reactor.name)
+        future = SimFuture(remote=False, subtxn_id=subtxn_id,
+                           target_reactor=reactor.name)
         future.birth_seq = task.root.effect_seq
         self._touch_reactor(task, reactor)
         frame = self._push_frame(task, reactor, subtxn_id, entered,
@@ -595,11 +579,7 @@ class TransactionExecutor:
             task.block_category = "sync_execution"
         else:
             task.block_category = "async_execution"
-        # Backend hook: under threads the resolver may live on another
-        # OS thread, so the wake-up is relayed onto this container's
-        # work queue instead of running on the resolver's thread.
-        self.scheduler.add_waiter(future, self._on_future_ready, task,
-                                  container=self._cid)
+        future.add_waiter(self._on_future_ready, task)
         self.running = None
         self._kick()
 
@@ -732,28 +712,20 @@ class TransactionExecutor:
             # A participant container crashed under this transaction
             # (a failover): its writes would land in dead storage, so
             # the commit must not be reported.
-            with self.scheduler.commit_guard(root.sessions):
-                TwoPhaseCommit(participants).abort(reason=None)
+            TwoPhaseCommit(participants).abort(reason=None)
             database.count_failover_abort()
             self._complete_root(task, False, "container failed", None)
             return
-        # Backend hook: a no-op guard on sim; under threads it holds
-        # the state lock plus every participant container's lock, so
-        # validate+install (and the log appends and ack-stage work it
-        # triggers) are atomic against the other containers'
-        # executing transactions.
-        with self.scheduler.commit_guard(root.sessions):
-            outcome = TwoPhaseCommit(participants).commit(
-                self.scheduler.now)
-            root.commit_tid = outcome.commit_tid
-            waits = []
-            if outcome.committed:
-                # The commit installed; the client may only see it
-                # once every ack stage's future resolved.
-                for stage in database.ack_stages:
-                    future = stage.commit_ack_future(root)
-                    if future is not None and not future.resolved:
-                        waits.append((stage, future))
+        outcome = TwoPhaseCommit(participants).commit(self.scheduler.now)
+        root.commit_tid = outcome.commit_tid
+        waits = []
+        if outcome.committed:
+            # The commit installed; the client may only see it once
+            # every ack stage's future resolved.
+            for stage in database.ack_stages:
+                future = stage.commit_ack_future(root)
+                if future is not None and not future.resolved:
+                    waits.append((stage, future))
         trace = root.trace
         if trace is not None:
             now = self.scheduler.now
@@ -789,11 +761,8 @@ class TransactionExecutor:
             if trace is not None:
                 trace.open_child(stage.ack_span, stage.ack_span,
                                  wait_start, parent_key="commit")
-            # Relayed through the backend: a resolver may run on
-            # another thread, but the wake-up touches this executor.
-            self.scheduler.add_waiter(future, self._ack_landed, task,
-                                      result, stage, pending,
-                                      wait_start, container=self._cid)
+            future.add_waiter(self._ack_landed, task, result, stage,
+                              pending, wait_start)
 
     def _ack_landed(self, task: Task, result: Any, stage: Any,
                     pending: list, wait_start: float,
@@ -838,8 +807,7 @@ class TransactionExecutor:
                 reason = "dangerous_structure"
             else:
                 reason = "user"
-            with self.scheduler.commit_guard(root.sessions):
-                TwoPhaseCommit(participants).abort(reason)
+            TwoPhaseCommit(participants).abort(reason)
         self._busy(task, self.costs.abort_cost, "commit",
                    self._complete_root, task, False, str(abort), None)
 
@@ -850,31 +818,25 @@ class TransactionExecutor:
         for reactor in root.reactor_refs:
             reactor.inflight_roots.discard(root.txn_id)
         database = self.container.database
-        # Backend hook: telemetry counters, ack-stage bookkeeping, the
-        # snapshot-pin watermark and the history recorder are shared
-        # across containers — a no-op guard on sim, the state lock on
-        # the threads backend.
-        with self.scheduler.state_guard():
-            database.telemetry.note_root_done(root, committed, reason,
-                                              self.scheduler.now)
-            # The acknowledgement instant: every stage hears the
-            # outcome the client hears.
-            for stage in database.ack_stages:
-                stage.commit_reported(root, committed)
-            # Release the root's pinned snapshot (if any): the storage
-            # GC watermark advances with the in-flight snapshot set,
-            # so the next install can prune versions only this root
-            # could see.
-            database.storage.unpin(root.txn_id)
-            if not committed and root.read_only:
-                database.storage.note_read_only_abort(
-                    database.deployment.cc_scheme)
-            recorder = database.history_recorder
-            if recorder is not None:
-                if committed:
-                    recorder.record_commit(root.txn_id)
-                else:
-                    recorder.record_abort(root.txn_id)
+        database.telemetry.note_root_done(root, committed, reason,
+                                          self.scheduler.now)
+        # The acknowledgement instant: every stage hears the outcome
+        # the client hears.
+        for stage in database.ack_stages:
+            stage.commit_reported(root, committed)
+        # Release the root's pinned snapshot (if any): the storage GC
+        # watermark advances with the in-flight snapshot set, so the
+        # next install can prune versions only this root could see.
+        database.storage.unpin(root.txn_id)
+        if not committed and root.read_only:
+            database.storage.note_read_only_abort(
+                database.deployment.cc_scheme)
+        recorder = database.history_recorder
+        if recorder is not None:
+            if committed:
+                recorder.record_commit(root.txn_id)
+            else:
+                recorder.record_abort(root.txn_id)
         self._finish_task(task)
         callback = task.invocation.on_root_done
         if callback is not None:

@@ -10,17 +10,12 @@ enclosing (sub-)transaction completes.
 which determines whether consuming the result pays the expensive
 receive-path cost Cr (a thread switch) or only a flag check.
 
-:class:`SimFuture` is single-threaded (the simulation's event loop is
-serial); :class:`ThreadSafeFuture` is the drop-in used by the
-``threads`` execution backend, where resolver and waiter live on
-different OS threads — state transitions run under a per-future
-condition variable and a blocking :meth:`ThreadSafeFuture.wait` is
-added for code that genuinely parks an OS thread.
+:class:`SimFuture` is single-threaded: the simulation's event loop is
+serial, so resolver and waiter always run in the same event.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -124,82 +119,3 @@ class SimFuture:
         return (f"SimFuture({self.state}, sub={self.subtxn_id}, "
                 f"target={self.target_reactor!r}, remote={self.remote})")
 
-
-class ThreadSafeFuture(SimFuture):
-    """A :class:`SimFuture` whose resolver and waiter may be on
-    different OS threads (the ``threads`` execution backend).
-
-    The state transition (pending → resolved/failed) and the waiter
-    handoff are serialized under a per-future condition variable; the
-    waiter callback itself is invoked *outside* the lock, so a
-    callback that re-enters the future (or takes backend locks) cannot
-    deadlock against a concurrent ``resolve``.
-    """
-
-    __slots__ = ("_cond",)
-
-    def __init__(self, remote: bool, subtxn_id: int,
-                 target_reactor: str) -> None:
-        super().__init__(remote, subtxn_id, target_reactor)
-        self._cond = threading.Condition(threading.Lock())
-
-    def resolve(self, value: Any, now: float) -> None:
-        with self._cond:
-            if self.state != _PENDING:
-                raise SimulationError("future resolved twice")
-            self.state = _RESOLVED
-            self.value = value
-            self.resolved_at = now
-            waiter, args = self._take_waiter()
-            self._cond.notify_all()
-        self._invoke(waiter, args)
-
-    def fail(self, error: BaseException, now: float) -> None:
-        with self._cond:
-            if self.state != _PENDING:
-                raise SimulationError("future resolved twice")
-            self.state = _FAILED
-            self.error = error
-            self.resolved_at = now
-            waiter, args = self._take_waiter()
-            self._cond.notify_all()
-        self._invoke(waiter, args)
-
-    def add_waiter(self, callback: Callable[..., None],
-                   *args: Any) -> None:
-        with self._cond:
-            if self._waiter is not None:
-                raise SimulationError(
-                    "two waiters on one future: a sub-transaction "
-                    "result can only be awaited by its calling "
-                    "transaction"
-                )
-            if self.state == _PENDING:
-                self._waiter = callback
-                self._waiter_args = args
-                return
-        # Already resolved: notify immediately, outside the lock.
-        self._invoke(callback, args)
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block the calling OS thread until resolution; ``True`` when
-        the future resolved within ``timeout`` seconds."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: self.state != _PENDING, timeout)
-
-    def _take_waiter(self) -> tuple[Callable[..., None] | None, tuple]:
-        waiter = self._waiter
-        args = self._waiter_args
-        self._waiter = None
-        self._waiter_args = ()
-        return waiter, args
-
-    def _invoke(self, waiter: Callable[..., None] | None,
-                args: tuple) -> None:
-        if waiter is None:
-            return
-        if args:
-            waiter(*args, self)
-        else:
-            waiter(self)

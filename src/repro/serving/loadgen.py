@@ -161,6 +161,8 @@ class OpenLoopResult:
             "p50_us": round(self.p50_us, 3),
             "p99_us": round(self.p99_us, 3),
             "p999_us": round(self.p999_us, 3),
+            # Latency samples behind the percentiles.
+            "samples": len(self.latencies_us),
             "max_send_lag_us": round(self.max_send_lag_us, 3),
         }
 

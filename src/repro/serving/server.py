@@ -1,27 +1,17 @@
 """The asyncio TCP server fronting a :class:`ReactorDatabase`.
 
-One :class:`ReactorServer` serves one database on either execution
-backend:
-
-* ``sim`` — the discrete-event scheduler has no thread of its own, so
-  the server runs a *pump* task: whenever requests have been submitted,
-  it drives ``scheduler.run()`` to quiescence on the event-loop thread.
-  Requests that arrive coalesced (one TCP segment, several frames) are
-  all submitted before the pump runs, so they genuinely overlap in
-  virtual time — a burst behaves like a burst, not like a sequence of
-  solo transactions.
-* ``threads`` — the backend's own worker threads execute transactions;
-  completion callbacks hop back onto the event loop via
-  ``call_soon_threadsafe``.  No pump, no polling.
+One :class:`ReactorServer` serves one database.  The discrete-event
+scheduler has no thread of its own, so the server runs a *pump* task:
+whenever requests have been submitted, it drives ``scheduler.run()``
+to quiescence on the event-loop thread.  Requests that arrive
+coalesced (one TCP segment, several frames) are all submitted before
+the pump runs, so they genuinely overlap in virtual time — a burst
+behaves like a burst, not like a sequence of solo transactions.
 
 Admission control happens *at the wire*: the server bounds its
 in-flight request count (``max_inflight``) and answers excess load
 with a typed ``overloaded`` error carrying a ``retry_after_us`` hint
-instead of parking requests without bound.  The same typed response
-covers roots the execution backend itself refuses (the ``threads``
-backend's bounded per-container queues report "backpressure" — see
-:meth:`ReactorDatabase.submit`), so a client sees one shed surface
-regardless of which layer refused.
+instead of parking requests without bound.
 
 Sessions are purely logical: a request carries a ``session`` id, the
 response echoes it, and responses are written in *completion* order —
@@ -95,7 +85,6 @@ class ReactorServer:
         self._pump_task: asyncio.Task | None = None
         self._work = asyncio.Event()
         self._stopping = False
-        self._is_sim = getattr(database.scheduler, "is_virtual", True)
         telemetry = database.telemetry
         registry = telemetry.registry if telemetry.enabled else None
         if registry is not None:
@@ -122,8 +111,7 @@ class ReactorServer:
             self._serve_connection, self.host, self.port)
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        if self._is_sim:
-            self._pump_task = asyncio.ensure_future(self._pump())
+        self._pump_task = asyncio.ensure_future(self._pump())
         return self.address
 
     async def stop(self) -> None:
@@ -141,7 +129,7 @@ class ReactorServer:
                 pass
 
     # ------------------------------------------------------------------
-    # The sim pump
+    # The pump
     # ------------------------------------------------------------------
 
     async def _pump(self) -> None:
@@ -269,24 +257,15 @@ class ReactorServer:
                 rid, session, protocol.ERR_UNKNOWN_REACTOR,
                 f"no reactor named {message['reactor']!r}"))
             return
-        loop = self._loop
-        t_wire = loop.time()
+        t_wire = self._loop.time()
         self.inflight += 1
         if self._accepted is not None:
             self._accepted.inc()
         t_submit = database.scheduler.now
         state = (conn, rid, session, t_wire, t_submit)
 
-        if self._is_sim:
-            def on_done(root, committed, reason, result,
-                        _state=state):
-                self._complete(_state, root, committed, reason, result)
-        else:
-            def on_done(root, committed, reason, result,
-                        _state=state):
-                loop.call_soon_threadsafe(
-                    self._complete, _state, root, committed, reason,
-                    result)
+        def on_done(root, committed, reason, result, _state=state):
+            self._complete(_state, root, committed, reason, result)
 
         try:
             database.submit(
@@ -298,8 +277,7 @@ class ReactorServer:
             conn.send(protocol.error(rid, session,
                                      protocol.ERR_INTERNAL, str(err)))
             return
-        if self._is_sim:
-            self._work.set()
+        self._work.set()
 
     def _shed_request(self, conn: _Connection, rid: int,
                       session: int, detail: str) -> None:
@@ -324,12 +302,6 @@ class ReactorServer:
                 "wait:wire", TRACK_SERVING, root.txn_id, t_submit,
                 database.scheduler.now,
                 args={"session": session, "request": rid})
-        if not committed and reason and "backpressure" in reason:
-            # The execution backend's bounded per-container queue
-            # refused the root: surface it as the same typed shed the
-            # wire-level admission bound uses.
-            self._shed_request(conn, rid, session, reason)
-            return
         try:
             conn.send(protocol.response(rid, session, committed,
                                         result=result, reason=reason))

@@ -10,20 +10,19 @@ transports) express their behaviour as callbacks that schedule further
 callbacks.  Generators/coroutines for transaction logic are layered on
 top by :mod:`repro.runtime.executor` — the scheduler itself knows
 nothing about transactions.
+
+It is the only execution model: every executor, durability flusher,
+replica, telemetry collector and the serving pump drive themselves
+through one :class:`SimScheduler`, in virtual microseconds.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
-
-#: Shared no-op context manager for the sim backend's guard hooks
-#: (``nullcontext`` is reusable and reentrant).
-_NULL_GUARD = nullcontext()
 
 
 class Event:
@@ -59,31 +58,10 @@ class Event:
 
 
 class SimScheduler:
-    """The event loop driving a simulation run.
-
-    The scheduler doubles as the default *execution backend* (see
-    :mod:`repro.runtime.backend`): beyond the event-loop surface
-    (``at``/``after``/``soon``/``run``/``pending``) it implements the
-    backend hooks — ``post``, ``busy``, ``add_waiter`` and the two
-    lock guards — as exact restatements of the pre-backend behaviour,
-    so running through them is byte-identical to calling the scheduler
-    directly.  The hooks are trivial here because a simulation is
-    single-threaded by construction; the ``threads`` backend
-    (:mod:`repro.runtime.threads`) gives them real work to do.
-    """
+    """The event loop driving a simulation run."""
 
     __slots__ = ("clock", "_queue", "_seq", "_dispatched", "_running",
                  "_live")
-
-    #: Backend identity (see :mod:`repro.runtime.backend`).
-    name = "sim"
-    #: Timestamps are virtual microseconds, not wall-clock readings.
-    is_virtual = True
-    #: No cross-thread state to protect: the event loop is serial.
-    lock: Any = None
-    #: ``None`` means "use the plain :class:`SimFuture`" — the executor
-    #: falls back to it, keeping this module import-cycle free.
-    future_class: Any = None
 
     def __init__(self) -> None:
         self.clock = VirtualClock()
@@ -149,9 +127,8 @@ class SimScheduler:
                 stamped exactly *at* ``until`` — including timestamps
                 within the scheduler's 1e-9 float tolerance, e.g. an
                 ``after(0.1 + 0.2)`` event against ``until=0.3`` — run
-                before the call returns: both backends share this
-                quiesce contract, so "ran to ``until``" means every
-                event due by then was dispatched.
+                before the call returns, so "ran to ``until``" means
+                every event due by then was dispatched.
             max_events: safety valve against runaway simulations.
         """
         if self._running:
@@ -201,52 +178,8 @@ class SimScheduler:
         """
         return self._live
 
-    # ------------------------------------------------------------------
-    # Execution-backend hooks (see repro.runtime.backend)
-    # ------------------------------------------------------------------
-
-    def post(self, container_id: int, fn: Callable[..., Any],
-             *args: Any) -> Event:
-        """Run ``fn(*args)`` on ``container_id``'s execution context.
-
-        In a simulation every container shares the one event loop, so
-        this is exactly :meth:`soon` — same timestamp, same sequence
-        ordering as the pre-backend code.
-        """
-        return self.at(self.clock.now, fn, *args)
-
     def busy(self, micros: float, fn: Callable[..., Any],
              *args: Any) -> Event:
         """Model ``micros`` of executor CPU occupancy, then continue
-        with ``fn(*args)`` — a virtual sleep here; real elapsed work
-        on a wall-clock backend."""
+        with ``fn(*args)``: a virtual sleep."""
         return self.at(self.clock.now + micros, fn, *args)
-
-    def add_waiter(self, future: Any, callback: Callable[..., None],
-                   *args: Any, container: int | None = None) -> None:
-        """Register a future waiter to run on ``container``'s context.
-
-        Single-threaded simulation: the resolver's event *is* every
-        container's context, so this delegates straight to the future.
-        The threads backend instead relays the wake-up onto the owning
-        container's work queue.
-        """
-        future.add_waiter(callback, *args)
-
-    def admit_root(self, executor: Any) -> bool:
-        """Bounded-intake hook: may ``executor`` accept another root
-        transaction?  Virtual time has no backpressure — queues drain
-        in zero wall time — so the sim always admits."""
-        return True
-
-    def commit_guard(self, container_ids: Iterable[int]) -> Any:
-        """Mutual exclusion for a cross-container commit/abort
-        (validate + install on every participant).  A no-op under the
-        serial event loop."""
-        return _NULL_GUARD
-
-    def state_guard(self) -> Any:
-        """Mutual exclusion for shared database bookkeeping (txn
-        counters, snapshot pins, telemetry counters).  A no-op under
-        the serial event loop."""
-        return _NULL_GUARD

@@ -82,23 +82,17 @@ def trace_events(tracer: Tracer) -> list[dict[str, Any]]:
 def chrome_payload(telemetry: Any) -> dict[str, Any]:
     """The full export: trace events plus a metrics snapshot.
 
-    ``metadata.backend`` records which execution backend produced the
-    spans; timestamps are virtual microseconds on ``sim`` and
-    wall-clock microseconds (since backend start) on ``threads``, as
-    ``metadata.clock`` states.
+    Timestamps are the simulator's virtual microseconds, as
+    ``metadata.backend`` and ``metadata.clock`` state.
     """
     tracer = telemetry.tracer
     events = trace_events(tracer) if tracer is not None else []
-    scheduler = getattr(telemetry.database, "scheduler", None)
-    backend = getattr(scheduler, "name", "sim")
-    virtual = getattr(scheduler, "is_virtual", True)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "metadata": {
-            "backend": backend,
-            "clock": ("virtual-microseconds" if virtual
-                      else "wall-microseconds"),
+            "backend": "sim",
+            "clock": "virtual-microseconds",
             "dropped_spans": tracer.dropped if tracer else 0,
             "trace_sample": telemetry.config.trace_sample,
         },

@@ -27,8 +27,7 @@ def database():
                                 placement=RangePlacement(2))
     db = ReactorDatabase(deployment, sb.declarations(N_CUSTOMERS))
     sb.load(db, N_CUSTOMERS)
-    yield db
-    db.close()
+    return db
 
 
 def test_as_client_wraps_database(database):

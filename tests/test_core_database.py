@@ -15,10 +15,28 @@ from repro.errors import (
     UnknownReactorError,
 )
 from repro.sim.machine import XEON_E3_1276
+from repro.sim.scheduler import SimScheduler
 from tests.conftest import ACCOUNT, account_name, make_bank
 
 
 class TestBasics:
+    def test_each_database_owns_a_fresh_sim_scheduler(self):
+        first = make_bank(shared_nothing(2))
+        second = make_bank(shared_nothing(2))
+        assert isinstance(first.scheduler, SimScheduler)
+        assert first.scheduler is not second.scheduler
+        first.run("acct0", "get_balance")
+        assert first.scheduler.now > 0.0
+        assert second.scheduler.now == 0.0
+
+    def test_close_leaves_database_usable(self, bank_any):
+        """``close`` releases nothing (the scheduler owns no OS
+        resources), so it is idempotent and the database keeps
+        running transactions after it."""
+        bank_any.close()
+        bank_any.close()
+        assert bank_any.run("acct0", "get_balance") == 100.0
+
     def test_run_returns_procedure_result(self, bank_any):
         assert bank_any.run("acct0", "get_balance") == 100.0
 

@@ -140,13 +140,29 @@ class TestSerialization:
         with pytest.raises(DeploymentError):
             shared_nothing(2, cc_scheme="psychic")
 
-    def test_unknown_top_level_key_rejected(self):
+    @pytest.mark.parametrize("key, value", [
+        ("cc_schema", "2pl_nowait"),
+        ("backend", "sim"),
+    ])
+    def test_unknown_top_level_key_rejected(self, key, value):
         """Typos in config files must fail loudly, naming the key —
-        a silently ignored ``cc_schema`` would run the wrong scheme."""
+        a silently ignored ``cc_schema`` would run the wrong scheme.
+        ``backend`` is no longer a deployment key: there is one
+        execution model."""
         data = shared_nothing(2).to_dict()
-        data["cc_schema"] = "2pl_nowait"
-        with pytest.raises(DeploymentError, match="cc_schema"):
+        data[key] = value
+        with pytest.raises(DeploymentError, match=key):
             DeploymentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("factory", [
+        shared_nothing, shared_everything_with_affinity,
+        shared_everything_without_affinity])
+    def test_serialized_form_has_no_backend(self, factory):
+        """There is one execution model, so no deployment names one."""
+        config = factory(2)
+        assert not hasattr(config, "backend")
+        assert "backend" not in config.to_dict()
+        assert "backend" not in config.to_json()
 
     def test_replication_round_trips(self):
         from repro.replication import ReplicationConfig

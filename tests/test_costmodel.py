@@ -218,9 +218,8 @@ class TestMeasuredCostFit:
             self._sample({"commit": 20, "remote_call": 7,
                           "log_append": 0}),
         ]
-        fit = fit_measured_costs(samples, backend="threads")
+        fit = fit_measured_costs(samples)
         assert isinstance(fit, MeasuredCosts)
-        assert fit.backend == "threads"
         assert fit.samples == 4
         for op, true_cost in self.TRUE.items():
             assert fit.costs[op] == pytest.approx(true_cost, rel=1e-5)
@@ -242,8 +241,7 @@ class TestMeasuredCostFit:
         assert fit.residual_us > 0.0
 
     def test_scale_vs_modeled(self):
-        fit = MeasuredCosts(backend="threads",
-                            costs={"commit": 24.0, "remote_call": 3.5,
+        fit = MeasuredCosts(costs={"commit": 24.0, "remote_call": 3.5,
                                    "unmodeled": 1.0})
         ratio = fit.scale_vs({"commit": 12.0, "remote_call": 3.5,
                               "unfitted": 9.0})

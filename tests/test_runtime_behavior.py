@@ -59,6 +59,44 @@ class TestSimFuture:
         with pytest.raises(SimulationError):
             fut.result()
 
+    def test_waiter_bound_args_precede_future(self):
+        """The executor's wait path: ``add_waiter(cb, *args)`` calls
+        ``cb(*args, future)``."""
+        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        seen = []
+        fut.add_waiter(lambda a, b, f: seen.append((a, b, f)), "t", 3)
+        fut.resolve(5, now=1.0)
+        assert seen == [("t", 3, fut)]
+
+    def test_waiter_fires_on_failure(self):
+        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        seen = []
+        fut.add_waiter(seen.append)
+        fut.fail(ValueError("nope"), now=2.0)
+        assert seen == [fut]
+        assert fut.failed
+        assert isinstance(fut.error, ValueError)
+
+    def test_resolve_after_fail_rejected(self):
+        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut.fail(ValueError("nope"), now=1.0)
+        with pytest.raises(SimulationError):
+            fut.resolve(1, now=2.0)
+
+    def test_resolution_time_recorded(self):
+        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        assert fut.resolved_at is None
+        fut.resolve(1, now=12.5)
+        assert fut.resolved_at == 12.5
+
+    def test_failed_result_marks_consumed(self):
+        fut = SimFuture(remote=True, subtxn_id=1, target_reactor="r")
+        fut.fail(ValueError("nope"), now=1.0)
+        assert not fut.consumed
+        with pytest.raises(ValueError):
+            fut.result()
+        assert fut.consumed
+
 
 class TestBreakdownAttribution:
     def _run_and_stats(self, database, reactor, proc, *args):

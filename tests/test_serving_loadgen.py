@@ -70,6 +70,7 @@ def test_summary_carries_arrival_rate_key():
     summary = _result([1.0, 2.0, 3.0]).summary()
     assert summary["arrival_rate"] == 100.0
     assert summary["arrival_process"] == "fixed"
+    assert summary["samples"] == 3
     for key in ("p50_us", "p99_us", "p999_us", "throughput_tps",
                 "shed_fraction", "max_send_lag_us"):
         assert key in summary

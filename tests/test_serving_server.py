@@ -28,11 +28,10 @@ N_CONTAINERS = 2
 MAX_RETRIES = 50
 
 
-def make_database(backend: str = "sim") -> ReactorDatabase:
+def make_database() -> ReactorDatabase:
     deployment = shared_nothing(
         N_CONTAINERS, mpl=4, cc_scheme="occ",
-        placement=RangePlacement(N_CUSTOMERS // N_CONTAINERS),
-        backend=backend)
+        placement=RangePlacement(N_CUSTOMERS // N_CONTAINERS))
     database = ReactorDatabase(deployment, sb.declarations(N_CUSTOMERS))
     sb.load(database, N_CUSTOMERS)
     return database
@@ -57,8 +56,7 @@ def seeded_ops() -> list[tuple[str, str, tuple]]:
 
 def run_to_commit(client, ops):
     """Drive every op to a committed conclusion through a Client,
-    resubmitting on abort (and on shed) — same contract as the
-    backend-equivalence suite, expressed against the Client surface."""
+    resubmitting on abort (and on shed)."""
     done = []
 
     def submit(op, tries=MAX_RETRIES):
@@ -109,7 +107,6 @@ def test_local_vs_served_equivalence():
     local_state = committed_state(local_db)
     local_cert = certify_all(local_db)
     local_total = sb.total_money(local_db, N_CUSTOMERS)
-    local_db.close()
 
     served_db = make_database()
     attach_recorder(served_db)
@@ -121,28 +118,11 @@ def test_local_vs_served_equivalence():
     served_state = committed_state(served_db)
     served_cert = certify_all(served_db)
     served_total = sb.total_money(served_db, N_CUSTOMERS)
-    served_db.close()
 
     assert local_cert["ok"], local_cert["failures"]
     assert served_cert["ok"], served_cert["failures"]
     assert served_total == pytest.approx(local_total)
     assert served_state == local_state
-
-
-def test_served_threads_backend_smoke():
-    """The server fronts the wall-clock threads backend natively (no
-    pump): a round trip commits and is visible."""
-    database = make_database(backend="threads")
-    server = serve_in_thread(database)
-    client = TcpClient(server.host, server.port).connect()
-    try:
-        sub = client.submit(sb.reactor_name(0), "deposit_checking",
-                            7.5)
-        assert sub.wait(10.0).committed
-    finally:
-        client.close()
-        server.stop()
-        database.close()
 
 
 def test_session_multiplexing_out_of_order():
@@ -165,7 +145,6 @@ def test_session_multiplexing_out_of_order():
     finally:
         client.close()
         server.stop()
-        database.close()
 
 
 def test_overload_shed_is_typed_with_retry_hint():
@@ -190,7 +169,6 @@ def test_overload_shed_is_typed_with_retry_hint():
     finally:
         client.close()
         server.stop()
-        database.close()
 
 
 def test_serving_metrics_registered():
@@ -215,7 +193,6 @@ def test_serving_metrics_registered():
     assert snapshot["serving_shed_total"] > 0
     assert snapshot["serving_connections_total"] >= 1
     assert snapshot["serving_inflight"] == 0  # all drained
-    database.close()
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +224,6 @@ def test_version_mismatch_answered_with_hello_error():
             assert "no common protocol version" in answer["detail"]
     finally:
         server.stop()
-        database.close()
 
 
 def test_malformed_request_answered_with_typed_error():
@@ -266,7 +242,6 @@ def test_malformed_request_answered_with_typed_error():
             assert "missing field" in answer["detail"]
     finally:
         server.stop()
-        database.close()
 
 
 def test_unknown_reactor_answered_with_typed_error():
@@ -280,7 +255,6 @@ def test_unknown_reactor_answered_with_typed_error():
     finally:
         client.close()
         server.stop()
-        database.close()
 
 
 def test_undecodable_frame_answered_then_closed():
@@ -299,4 +273,3 @@ def test_undecodable_frame_answered_then_closed():
             assert sock.recv(4096) == b""
     finally:
         server.stop()
-        database.close()

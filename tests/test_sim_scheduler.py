@@ -182,21 +182,15 @@ class TestRunUntilBoundary:
 
 
 class TestBackendHooks:
-    """SimScheduler's execution-backend surface (repro.runtime.backend)
-    restates the pre-backend behaviour exactly."""
+    """The scheduler surface the runtime calls directly: ``busy``
+    models executor CPU occupancy as a virtual sleep, and ``soon`` is
+    ``at(now)``, so its events keep their insertion order."""
 
-    def test_identity_attrs(self):
-        scheduler = SimScheduler()
-        assert scheduler.name == "sim"
-        assert scheduler.is_virtual is True
-        assert scheduler.lock is None
-        assert scheduler.future_class is None
-
-    def test_post_matches_soon(self):
+    def test_soon_matches_at_now(self):
         scheduler = SimScheduler()
         order = []
         scheduler.soon(order.append, "a")
-        scheduler.post(3, order.append, "b")
+        scheduler.at(scheduler.now, order.append, "b")
         scheduler.soon(order.append, "c")
         scheduler.run()
         assert order == ["a", "b", "c"]
@@ -207,12 +201,3 @@ class TestBackendHooks:
         scheduler.busy(7.5, lambda: times.append(scheduler.now))
         scheduler.run()
         assert times == [7.5]
-
-    def test_guards_are_noop_context_managers(self):
-        scheduler = SimScheduler()
-        with scheduler.state_guard():
-            with scheduler.commit_guard([0, 1]):
-                pass
-
-    def test_admit_root_always_true(self):
-        assert SimScheduler().admit_root(object()) is True

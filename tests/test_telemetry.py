@@ -324,6 +324,12 @@ class TestTraceDeterminism:
         broken["metrics"]["bogus_metric_total"] = 1
         assert any("catalog" in problem for problem in
                    check_trace.check_payload(broken))
+        # A clock the exporter never writes (the file came from
+        # outside the program).
+        broken = json.loads(json.dumps(payload))
+        broken["metadata"]["clock"] = "wall-microseconds"
+        assert any("wall-microseconds" in problem for problem in
+                   check_trace.check_payload(broken))
         assert good  # the untouched export had spans to break
 
     def test_trace_export_tool_deterministic(self):

@@ -18,20 +18,14 @@ human loading the file into Perfetto:
   record;
 * every metric series name in the ``metrics`` snapshot (label suffix
   stripped) appears in the telemetry catalog — an unknown name means
-  someone bypassed the registry's catalog check.
+  someone bypassed the registry's catalog check;
+* the trace records a virtual clock (``metadata.clock``): the exporter
+  stamps every trace it writes that way, so any other clock means the
+  file came from somewhere else.
 
 Usage::
 
     python tools/check_trace.py benchmarks/results/trace_smallbank.json
-    python tools/check_trace.py --wallclock trace_threads.json
-
-``--wallclock`` validates traces produced on a wall-clock execution
-backend (``metadata.backend: threads``): timestamps are real
-microseconds — still monotone and well-nested, but subject to OS
-scheduling jitter, so interval-nesting checks use a millisecond-scale
-epsilon instead of the virtual-time rounding step.  The mode and the
-trace's recorded clock must agree: a virtual trace checked with
-``--wallclock`` (or vice versa) is reported as a problem.
 
 Exit status: 0 when the trace is well-formed, 1 with one line per
 problem otherwise.
@@ -53,17 +47,10 @@ if str(REPO / "src") not in sys.path:
 #: up to one rounding step.
 EPSILON = 0.002
 
-#: Wall-clock slack (µs): on the threads backend a span's children are
-#: stamped by real clock reads on different OS threads, so nesting can
-#: wobble by scheduling jitter; 1ms covers a preemption slice without
-#: masking genuinely escaped spans.
-WALLCLOCK_EPSILON = 1000.0
-
 REQUIRED_X_KEYS = ("name", "ph", "pid", "tid", "ts", "dur", "args")
 
 
-def check_events(events: list,
-                 epsilon: float = EPSILON) -> list[str]:
+def check_events(events: list) -> list[str]:
     problems: list[str] = []
     spans: dict[int, dict] = {}
     named_pids: set = set()
@@ -116,9 +103,9 @@ def check_events(events: list,
             continue
         if parent.get("pid") != event.get("pid"):
             problems.append(f"span {name}: parent on different track")
-        if event["ts"] < parent["ts"] - epsilon or \
+        if event["ts"] < parent["ts"] - EPSILON or \
                 event["ts"] + event["dur"] > \
-                parent["ts"] + parent["dur"] + epsilon:
+                parent["ts"] + parent["dur"] + EPSILON:
             problems.append(
                 f"span {name} [{event['ts']}, "
                 f"{event['ts'] + event['dur']}] escapes parent "
@@ -143,25 +130,16 @@ def check_metrics(metrics: dict) -> list[str]:
     return problems
 
 
-def check_payload(payload: dict,
-                  wallclock: bool = False) -> list[str]:
+def check_payload(payload: dict) -> list[str]:
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         return ["payload has no traceEvents list"]
     problems = []
     clock = (payload.get("metadata") or {}).get("clock")
-    if clock is not None:
-        virtual_trace = clock == "virtual-microseconds"
-        if wallclock and virtual_trace:
-            problems.append(
-                "--wallclock given but the trace records a virtual "
-                "clock (produced on the sim backend)")
-        if not wallclock and not virtual_trace:
-            problems.append(
-                f"trace records clock {clock!r}; re-run with "
-                "--wallclock to validate wall-clock traces")
-    problems.extend(check_events(
-        events, epsilon=WALLCLOCK_EPSILON if wallclock else EPSILON))
+    if clock is not None and clock != "virtual-microseconds":
+        problems.append(f"trace records clock {clock!r}; expected "
+                        "'virtual-microseconds'")
+    problems.extend(check_events(events))
     metrics = payload.get("metrics")
     if isinstance(metrics, dict):
         problems.extend(check_metrics(metrics))
@@ -172,13 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", type=Path,
                         help="trace JSON from tools/trace_export.py")
-    parser.add_argument("--wallclock", action="store_true",
-                        help="validate a wall-clock (threads backend) "
-                             "trace: real-microsecond timestamps, "
-                             "jitter-tolerant nesting epsilon")
     args = parser.parse_args(argv)
     payload = json.loads(args.trace.read_text())
-    problems = check_payload(payload, wallclock=args.wallclock)
+    problems = check_payload(payload)
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

@@ -14,7 +14,6 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py \
         --workload ycsb --scheme mvocc --top 30 \
         --json benchmarks/results/profile_hotpath.json
-    PYTHONPATH=src python tools/profile_hotpath.py --backend threads
 
 The snapshot JSON maps ``file:line(function)`` to call counts and
 timings, and carries the run's telemetry metrics snapshot under
@@ -37,23 +36,14 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
-RESULTS_DIR = REPO / "benchmarks" / "results"
-
-
-def default_snapshot(backend: str) -> Path:
-    """Per-backend snapshot path: sim keeps the historical name so
-    archived diffs stay comparable; other backends get a suffixed
-    file (``profile_hotpath_threads.json``)."""
-    if backend == "sim":
-        return RESULTS_DIR / "profile_hotpath.json"
-    return RESULTS_DIR / f"profile_hotpath_{backend}.json"
+DEFAULT_SNAPSHOT = REPO / "benchmarks" / "results" / "profile_hotpath.json"
 
 WORKLOADS = ("smallbank", "ycsb", "tpcc-neworder",
              "tpcc-stocklevel")
 
 
-def _drive(workload: str, scheme: str, measure_us: float,
-           backend: str = "sim") -> tuple[int, dict]:
+def _drive(workload: str, scheme: str,
+           measure_us: float) -> tuple[int, dict]:
     """One seeded measurement; returns (transactions processed,
     telemetry metrics snapshot)."""
     from repro.bench.harness import run_measurement
@@ -68,8 +58,7 @@ def _drive(workload: str, scheme: str, measure_us: float,
 
     if workload == "smallbank":
         database = ReactorDatabase(
-            shared_everything_with_affinity(4, cc_scheme=scheme,
-                                            backend=backend),
+            shared_everything_with_affinity(4, cc_scheme=scheme),
             smallbank.declarations(40))
         smallbank.load(database, 40)
         factory_for = smallbank.SmallbankWorkload(40).factory_for
@@ -79,8 +68,7 @@ def _drive(workload: str, scheme: str, measure_us: float,
         database = ReactorDatabase(
             shared_nothing(n_containers, mpl=4, cc_scheme=scheme,
                            placement=RangePlacement(
-                               n_keys // n_containers),
-                           backend=backend),
+                               n_keys // n_containers)),
             [(ycsb.key_name(i), ycsb.KEY_REACTOR)
              for i in range(n_keys)])
         for i in range(n_keys):
@@ -93,14 +81,14 @@ def _drive(workload: str, scheme: str, measure_us: float,
         workers = 8
     elif workload == "tpcc-neworder":
         database = tpcc_database("shared-nothing-async", 2, mpl=4,
-                                 cc_scheme=scheme, backend=backend)
+                                 cc_scheme=scheme)
         factory_for = tpcc.TpccWorkload(
             n_warehouses=2, mix=tpcc.NEW_ORDER_ONLY,
             remote_item_prob=0.1, invalid_item_prob=0.0).factory_for
         workers = 4
     elif workload == "tpcc-stocklevel":
         database = tpcc_database("shared-nothing-async", 2, mpl=4,
-                                 cc_scheme=scheme, backend=backend)
+                                 cc_scheme=scheme)
         factory_for = tpcc.TpccWorkload(
             n_warehouses=2,
             mix=(("stock_level", 1.0),)).factory_for
@@ -112,7 +100,6 @@ def _drive(workload: str, scheme: str, measure_us: float,
                              warmup_us=5_000.0, measure_us=measure_us,
                              n_epochs=4)
     metrics = database.telemetry.metrics_snapshot()
-    database.close()
     return len(result.raw_stats), metrics
 
 
@@ -143,27 +130,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS,
                         default="smallbank")
     parser.add_argument("--scheme", default="occ")
-    parser.add_argument("--backend", choices=("sim", "threads"),
-                        default="sim",
-                        help="execution backend to profile (threads "
-                             "interprets --measure-us as wall-clock)")
     parser.add_argument("--measure-us", type=float, default=30_000.0,
                         help="virtual measurement window (default "
                              "30ms: a few thousand transactions)")
     parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--json", type=Path, default=None,
-                        help="snapshot path (default: per-backend "
-                             "profile_hotpath[_<backend>].json; use "
-                             "/dev/null to skip)")
+    parser.add_argument("--json", type=Path, default=DEFAULT_SNAPSHOT,
+                        help="snapshot path (use /dev/null to skip)")
     args = parser.parse_args(argv)
-    if args.json is None:
-        args.json = default_snapshot(args.backend)
 
     profiler = cProfile.Profile()
     profiler.enable()
     txns, telemetry_metrics = _drive(args.workload, args.scheme,
-                                     args.measure_us,
-                                     backend=args.backend)
+                                     args.measure_us)
     profiler.disable()
 
     buffer = io.StringIO()
@@ -172,15 +150,13 @@ def main(argv: list[str] | None = None) -> int:
     stats.sort_stats("tottime").print_stats(args.top)
     print(buffer.getvalue())
     print(f"profiled {txns} transactions "
-          f"({args.workload}/{args.scheme}, "
-          f"backend={args.backend})")
+          f"({args.workload}/{args.scheme})")
 
     if str(args.json) not in ("/dev/null", "NUL"):
         args.json.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "workload": args.workload,
             "scheme": args.scheme,
-            "backend": args.backend,
             "measure_us": args.measure_us,
             "transactions": txns,
             "top_cumulative": _snapshot(stats, args.top),
